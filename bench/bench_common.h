@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/json_writer.h"
@@ -89,20 +90,27 @@ struct ScaleRecord {
   int servers = 0;
   double median_wall_ms = 0.0;
   int repeats = 1;
+  // The fields below are written only when the bench measured them: an
+  // absent field, never a placeholder default, is what lets the perf gate
+  // tell "not measured" from "measured zero".
+  //
   // Parallel-efficiency telemetry from one extra instrumented (untimed) run
   // per configuration — informational, never compared against a hard
   // threshold (tools/perf_check.py carries them through when present in
-  // both baseline and candidate and ignores them otherwise).
-  double parallel_efficiency = 1.0;  // pool busy / (workers × batch wall)
-  double critical_path_ms = 0.0;     // longest non-overlappable span chain
-  std::uint64_t peak_bytes = 0;      // scratch-arena high-water mark
+  // both baseline and candidate and ignores them otherwise):
+  // parallel_efficiency is pool busy / (workers × batch wall),
+  // critical_path_ms the longest non-overlappable span chain, peak_bytes
+  // the scratch-arena high-water mark.
+  std::optional<double> parallel_efficiency = std::nullopt;
+  std::optional<double> critical_path_ms = std::nullopt;
+  std::optional<std::uint64_t> peak_bytes = std::nullopt;
   // Width-1 share of the critical path (serial_ms / path_ms): the Amdahl
   // wall. Gated hard by tools/perf_check.py --serial-share-max at the
   // largest parallel configuration.
-  double serial_share = 0.0;
+  std::optional<double> serial_share = std::nullopt;
   // Solution quality guard: the recursive partition's total cut weight.
   // Thread-count invariant (DESIGN.md §9), so any drift is algorithmic.
-  double cut_weight = 0.0;
+  std::optional<double> cut_weight = std::nullopt;
 };
 
 // Median of the samples (averages the middle pair for even counts).
@@ -146,16 +154,20 @@ inline bool WriteScaleJson(const char* path,
     w.Int(r.servers);
     // Telemetry keys append after the original layout so older consumers
     // (and the committed perf baselines) keep parsing by prefix.
-    w.Key("parallel_efficiency");
-    w.Double(r.parallel_efficiency);
-    w.Key("critical_path_ms");
-    w.Double(r.critical_path_ms);
-    w.Key("peak_bytes");
-    w.UInt(r.peak_bytes);
-    w.Key("serial_share");
-    w.Double(r.serial_share);
-    w.Key("cut_weight");
-    w.Double(r.cut_weight);
+    const auto optional_double = [&w](const char* key,
+                                      const std::optional<double>& v) {
+      if (!v) return;
+      w.Key(key);
+      w.Double(*v);
+    };
+    optional_double("parallel_efficiency", r.parallel_efficiency);
+    optional_double("critical_path_ms", r.critical_path_ms);
+    if (r.peak_bytes) {
+      w.Key("peak_bytes");
+      w.UInt(*r.peak_bytes);
+    }
+    optional_double("serial_share", r.serial_share);
+    optional_double("cut_weight", r.cut_weight);
     w.EndObject();
   }
   w.EndArray();

@@ -17,8 +17,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,13 +108,13 @@ void BM_CoarseningOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_CoarseningOnly);
 
-// Last value of an informational gauge, or `fallback` when never set.
-double InfoGauge(const char* name, double fallback) {
+// Last value of an informational gauge; empty when it was never set.
+std::optional<double> InfoGauge(const char* name) {
   for (const auto& gv : obs::MetricsRegistry::Global().SnapshotGauges(
            obs::MetricKind::kInformational)) {
     if (gv.name == name) return gv.value;
   }
-  return fallback;
+  return std::nullopt;
 }
 
 // The --json sweep: same partition at every thread count, `repeat` timed
@@ -162,17 +164,21 @@ bool RunThreadScalingSweep(const char* json_path, int repeat,
         const auto r = RecursivePartition(g, fits, opts);
         trace.Deactivate();
         benchmark::DoNotOptimize(r.num_groups);
-        const auto cp = obs::ComputeCriticalPath(
-            trace.Events(),
-            threads > 1 ? "partition.parallel" : "partition.recursive");
-        rec.critical_path_ms = cp.path_ms;
-        rec.serial_share = cp.path_ms > 0.0 ? cp.serial_ms / cp.path_ms : 0.0;
-        rec.parallel_efficiency =
-            threads > 1
-                ? InfoGauge("partition.pool.parallel_efficiency", 1.0)
-                : 1.0;
-        rec.peak_bytes = static_cast<std::uint64_t>(
-            InfoGauge("partition.scratch_peak_bytes", 0.0));
+        const auto cp =
+            obs::ComputeCriticalPath(trace.Events(), "partition.recursive");
+        if (cp.path_ms > 0.0) {
+          rec.critical_path_ms = cp.path_ms;
+          rec.serial_share = cp.serial_ms / cp.path_ms;
+        }
+        // Only a threads > 1 partition runs a pool; at width 1 the gauge
+        // would be a stale value from an earlier configuration.
+        if (threads > 1) {
+          rec.parallel_efficiency =
+              InfoGauge("partition.pool.parallel_efficiency");
+        }
+        if (const auto peak = InfoGauge("partition.scratch_peak_bytes")) {
+          rec.peak_bytes = static_cast<std::uint64_t>(*peak);
+        }
         if (trace_path != nullptr && n >= 50000 && threads > 1) {
           if (!trace.WriteChromeJson(trace_path)) return false;
           std::printf("wrote Chrome trace (n=%d threads=%d) to %s\n", n,
@@ -184,9 +190,10 @@ bool RunThreadScalingSweep(const char* json_path, int repeat,
                   "  cut %.0f  eff %.2f  cp %7.2f ms  serial %.2f"
                   "  peak %zu KiB\n",
                   rec.name.c_str(), threads, median_ms, best_ms, servers,
-                  rec.cut_weight, rec.parallel_efficiency,
-                  rec.critical_path_ms, rec.serial_share,
-                  static_cast<std::size_t>(rec.peak_bytes / 1024));
+                  cut_weight, rec.parallel_efficiency.value_or(NAN),
+                  rec.critical_path_ms.value_or(NAN),
+                  rec.serial_share.value_or(NAN),
+                  static_cast<std::size_t>(rec.peak_bytes.value_or(0) / 1024));
     }
   }
   if (!bench::WriteScaleJson(json_path, records)) return false;

@@ -1,4 +1,4 @@
-// Fixed-size thread pool with deterministic, index-slotted parallel loops.
+// Fixed-size, nestable thread pool with deterministic, index-slotted loops.
 //
 // Parallelism in this tree must never change results (DESIGN.md §9): the
 // same seed has to produce bit-identical epochs at threads=1 and threads=N.
@@ -15,8 +15,16 @@
 // The pool owns num_threads-1 workers; the calling thread participates in
 // every loop, so ThreadPool(1) spawns nothing and runs inline — the serial
 // path and the parallel path are the same code. Tasks must not throw
-// (failures in this codebase abort via GOLDILOCKS_CHECK) and must not call
-// ParallelFor on the same pool re-entrantly; create a nested pool instead.
+// (failures in this codebase abort via GOLDILOCKS_CHECK).
+//
+// Loops nest: a task may call ParallelFor on the pool that runs it (fork-
+// join recursion, a chunked kernel inside a parallel split). Every call
+// posts its own batch; idle workers claim from the newest batch with
+// unclaimed work, and a caller waiting for its batch runs that batch's
+// unclaimed tasks — or those of batches nested inside it — instead of
+// sleeping. Helping only inside its own batch keeps a waiting caller from
+// picking up unrelated work that would delay its return, and bounds the
+// stack by the nesting depth.
 //
 // This file is the sanctioned home for raw std::thread (gl_lint GL006):
 // everything else fans out through a ThreadPool.
@@ -42,14 +50,17 @@ namespace gl {
 
 // Cumulative utilization snapshot over every ParallelFor a pool has run.
 // Slot 0 of per_thread_busy_us is the calling thread (it participates in
-// every loop); slots 1..workers-1 are the pool's own worker threads.
+// every loop); slots 1..workers-1 are the pool's own worker threads. Busy
+// time counts a thread only while it runs a task at its outermost nesting
+// level, and batch wall counts only outermost batches, so nested loops are
+// never counted twice and the efficiency stays within (0, 1].
 struct ThreadPoolStats {
   int workers = 1;
   std::uint64_t batches = 0;  // ParallelFor invocations (incl. inline runs)
   std::uint64_t tasks = 0;    // fn(i) calls
-  double busy_us = 0.0;       // total time inside fn(i), all threads
+  double busy_us = 0.0;       // time inside outermost tasks, all threads
   double queue_wait_us = 0.0; // posted-to-claimed latency, summed over tasks
-  double batch_wall_us = 0.0; // per-batch wall (post to last completion)
+  double batch_wall_us = 0.0; // per outermost batch: post to last completion
   std::vector<double> per_thread_busy_us;
 
   // busy / (workers × wall): 1.0 = every thread busy for every batch's
@@ -97,10 +108,13 @@ class ThreadPool {
   // round-trip per element. Chunk boundaries depend only on `total` and
   // `grain` — never on the worker count — so per-chunk partial results keyed
   // by chunk index fold deterministically at every width (DESIGN.md §9).
-  // fn receives the participation slot (0 = caller) alongside the chunk's
-  // [begin, end); slot-keyed scratch is safe only for state the body fully
-  // re-initializes per chunk, because the slot→chunk mapping is
-  // scheduling-dependent.
+  // fn receives the running thread's slot (0 = the external caller,
+  // 1..num_threads-1 = workers) alongside the chunk's [begin, end). No two
+  // threads run under one slot at the same time, but the slot→chunk mapping
+  // is scheduling-dependent, so slot-keyed scratch is safe only for state
+  // the body fully re-initializes per chunk. A task waiting on a nested loop
+  // runs that loop's tasks under its own slot, so a loop and the loops
+  // nested in its tasks must not share slot-keyed scratch.
   void ParallelForChunked(
       std::size_t total, std::size_t grain,
       const std::function<void(int slot, std::size_t begin, std::size_t end)>&
@@ -111,34 +125,37 @@ class ThreadPool {
   [[nodiscard]] ThreadPoolStats Stats() const GL_EXCLUDES(mu_);
 
  private:
+  // One posted loop; lives on the posting thread's stack until its last
+  // task finishes. Defined in thread_pool.cc.
+  struct Batch;
+  // Per-thread record of the task a thread is running (thread_pool.cc).
+  struct Frame;
+  using Task = std::function<void(int slot, std::size_t i)>;
+
+  // The one post/help/wait body behind both loop entry points.
+  void Run(std::size_t count, const Task& task) GL_EXCLUDES(mu_);
   // `slot` is the thread's index into per_thread_busy_us (0 = caller).
   void WorkerLoop(int slot) GL_EXCLUDES(mu_);
-  // Claims and runs tasks of the current batch until none remain unclaimed.
-  // Drops the lock around each fn(i) call.
-  void RunBatchTasks(int slot) GL_REQUIRES(mu_);
+  // Newest open batch that is `within` or nested inside it (any open batch
+  // when `within` is null); null when there is none.
+  Batch* NewestOpen(const Batch* within) const GL_REQUIRES(mu_);
+  // Claims and runs the next task of `batch`, dropping the lock around the
+  // call. `outermost` says whether the thread was idle (not inside another
+  // task of this pool), which decides whether the task counts as busy time.
+  void RunOne(Batch& batch, int slot, bool outermost) GL_REQUIRES(mu_);
 
   const int num_threads_;
 
   mutable Mutex mu_;
-  CondVar work_cv_;  // signalled when a batch is posted or on shutdown
-  CondVar done_cv_;  // signalled when the last in-flight task finishes
+  CondVar work_cv_;  // idle workers: a batch was posted, or shutdown
 
-  // One batch at a time: the active loop's bounds and claim cursor. Exactly
-  // one of fn_/cfn_ is set while a batch runs; count_ is the task count
-  // (indices for fn_, chunks for cfn_).
-  const std::function<void(std::size_t)>* fn_ GL_GUARDED_BY(mu_) = nullptr;
-  const std::function<void(int, std::size_t, std::size_t)>* cfn_
-      GL_GUARDED_BY(mu_) = nullptr;
-  std::size_t grain_ GL_GUARDED_BY(mu_) = 0;
-  std::size_t total_ GL_GUARDED_BY(mu_) = 0;
-  std::size_t count_ GL_GUARDED_BY(mu_) = 0;
-  std::size_t next_ GL_GUARDED_BY(mu_) = 0;       // first unclaimed index
-  std::size_t in_flight_ GL_GUARDED_BY(mu_) = 0;  // claimed, not yet done
+  // Batches with unclaimed tasks, oldest first; a batch leaves the list
+  // when its last task is claimed.
+  std::vector<Batch*> open_ GL_GUARDED_BY(mu_);
   bool shutdown_ GL_GUARDED_BY(mu_) = false;
 
   // Telemetry (informational). Accumulated under mu_ at points that already
   // hold it, so the task fast path pays one clock read per claim/retire.
-  std::int64_t batch_post_us_ GL_GUARDED_BY(mu_) = 0;
   std::uint64_t batches_ GL_GUARDED_BY(mu_) = 0;
   std::uint64_t tasks_ GL_GUARDED_BY(mu_) = 0;
   double busy_us_ GL_GUARDED_BY(mu_) = 0.0;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -663,9 +664,9 @@ Bisection Bisect(const Graph& g, const PartitionOptions& opts,
   PartitionScratch scratch;
   CsrBisection bis;
   if (opts.threads > 1) {
-    // A standalone bisection owns its pool; the recursive drivers thread
-    // theirs through instead. Identical results either way — the pool only
-    // changes scheduling, never output (DESIGN.md §9).
+    // A standalone bisection owns its pool; RecursivePartition threads its
+    // own through every split instead. Identical results either way — the
+    // pool only changes scheduling, never output (DESIGN.md §9).
     ThreadPool pool(opts.threads);
     bis = BisectCsr(csr, opts, target_fraction, &pool, scratch, result.side);
     PublishPoolStats(pool.Stats());
@@ -693,9 +694,9 @@ namespace {
 // scratch only for the bisection itself and recycled immediately.
 //
 // `where` is the one array read across range boundaries (the membership
-// test for neighbors), so under the parallel driver it is written by one
-// task while others read it. The entries are relaxed atomics: concurrent
-// writers only ever move a vertex within their own disjoint range, so a
+// test for neighbors), so with a pool it is written by one task while
+// others read it. The entries are relaxed atomics: concurrent writers
+// only ever move a vertex within their own disjoint range, so a
 // racing reader gets either the old or the new position — both on the same
 // side of the membership test — and results stay bit-identical at every
 // thread count (DESIGN.md §9).
@@ -706,6 +707,7 @@ struct RangeCtx {
   const PartitionOptions* opts = nullptr;
   const FitPredicate* fits = nullptr;
   const CapacityUnitsFn* units = nullptr;
+  ThreadPool* pool = nullptr;  // RecursivePartition at threads > 1 only
   std::vector<VertexIndex> perm;
   std::vector<std::atomic<VertexIndex>> where;
 
@@ -776,42 +778,36 @@ bool FitTerminal(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
 }
 
 void RecordFitLeaf(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                   const Resource& demand, const std::string& path,
+                   const Resource& demand, std::string path,
                    RecursivePartitionResult& out) {
   const int count = static_cast<int>(hi - lo);
   const int gid = out.num_groups++;
   for (std::size_t pos = lo; pos < hi; ++pos) {
     out.group_of[static_cast<std::size_t>(ctx.perm[pos])] = gid;
   }
-  out.group_path.push_back(path);
+  out.group_path.push_back(std::move(path));
   out.group_demand.push_back(demand);
   out.group_size.push_back(count);
   if (!(*ctx.fits)(demand, count)) out.oversized_groups.push_back(gid);
 }
 
-// Bisects a range in place: extracts its CSR view, bisects it, then
+// Bisects a range in place toward `fraction` of its balance weight on side
+// 0: extracts its CSR view, bisects it (on ctx.pool when set), then
 // stable-partitions the range's slice of `perm` by side. Returns the
 // bisection's cut weight; `*mid` is the start of the side-1 child and
-// `child_seeds` the children's seed chain (same chain as always).
+// `child_seeds` the children's seed chain.
 double SplitRange(RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                  const Resource& demand, std::size_t depth,
-                  std::uint64_t seed, ThreadPool* pool, PartitionScratch& s,
-                  std::uint64_t child_seeds[2], std::size_t* mid) {
+                  double fraction, std::size_t depth, std::uint64_t seed,
+                  PartitionScratch& s, std::uint64_t child_seeds[2],
+                  std::size_t* mid) {
   // One span per recursion level; arg = depth in the recursion tree.
   obs::TraceSpan split_span("partition.split",
                             static_cast<std::int64_t>(depth));
   const std::size_t count = hi - lo;
   PartitionOptions sub = *ctx.opts;
   sub.seed = seed;
-  // Proportional split target: carve off whole server-units so leaves fill
-  // servers tightly instead of landing at ~50-70% from plain halving.
-  double fraction = 0.5;
-  if (*ctx.units) {
-    const double u = std::max(1.0 + 1e-9, (*ctx.units)(demand));
-    fraction = std::clamp(std::ceil(u / 2.0) / u, 0.25, 0.75);
-  }
   ExtractSub(ctx, lo, hi, s.sub);
-  const auto bis = BisectCsr(s.sub, sub, fraction, pool, s, s.node_side);
+  const auto bis = BisectCsr(s.sub, sub, fraction, ctx.pool, s, s.node_side);
 
   s.split_zero.clear();
   s.split_one.clear();
@@ -840,236 +836,91 @@ double SplitRange(RangeCtx& ctx, std::size_t lo, std::size_t hi,
   Rng salt(seed);
   child_seeds[0] = salt.NextU64();
   child_seeds[1] = salt.NextU64();
-  // Arena accounting once per split (coarse-grained: ~20 capacity sums per
-  // bisection, invisible next to the bisection itself).
-  if (s.NoteHighWater()) ScratchGrowthCounter().Increment();
   return bis.cut_weight;
 }
 
-// Serial recursion. Cut contributions are appended to `cuts` in preorder
-// (node before its subtrees) instead of summed in place, so the final
-// left-fold reproduces one canonical summation order no matter how the
-// subtrees were scheduled across threads.
-void FitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                const std::string& path, std::uint64_t seed,
-                PartitionScratch& s, RecursivePartitionResult& out,
-                std::vector<double>& cuts) {
-  if (lo == hi) return;
+// Where a recursion node's record lives: lanes[slot].nodes[index].
+struct NodeRef {
+  int slot = 0;
+  std::size_t index = 0;
+};
+
+// One node of the fit recursion, logged by the slot that visited it. A
+// split keeps its cut and its children's records; a leaf its group.
+struct RecursionNode {
+  bool leaf = false;
+  double cut = 0.0;
+  NodeRef kids[2] = {};
+  std::string path = {};
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  Resource demand = {};
+};
+
+// What one pool slot owns during a RecursivePartition call: the arena its
+// splits run in and the nodes it visited. No two threads share a slot, and
+// a thread waiting inside a split only helps with that split's own loops
+// (common/thread_pool.h), so a slot runs one split at a time.
+struct RecursionLane {
+  PartitionScratch scratch;
+  std::vector<RecursionNode> nodes;
+};
+
+// The fit recursion, one driver for every thread count: split the range,
+// then run both children as a two-task loop on the pool (in order, on this
+// thread, without one). Child seeds derive from the recursion path, so a
+// subtree's result never depends on where or when it ran. Returns where
+// the node's record went.
+NodeRef FitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
+                   const std::string& path, std::uint64_t seed, int slot,
+                   std::vector<RecursionLane>& lanes) {
+  RecursionLane& lane = lanes[static_cast<std::size_t>(slot)];
+  const NodeRef self{slot, lane.nodes.size()};
   const Resource demand = RangeDemand(ctx, lo, hi);
   if (FitTerminal(ctx, lo, hi, demand)) {
-    RecordFitLeaf(ctx, lo, hi, demand, path, out);
-    return;
+    lane.nodes.push_back(
+        {.leaf = true, .path = path, .lo = lo, .hi = hi, .demand = demand});
+    return self;
+  }
+  // Proportional split target: carve off whole server-units so leaves fill
+  // servers tightly instead of landing at ~50-70% from plain halving.
+  double fraction = 0.5;
+  if (*ctx.units) {
+    const double u = std::max(1.0 + 1e-9, (*ctx.units)(demand));
+    fraction = std::clamp(std::ceil(u / 2.0) / u, 0.25, 0.75);
   }
   std::size_t mid = lo;
   std::uint64_t child_seeds[2];
-  // Serial subtrees never see the pool: a worker task re-entering the pool
-  // would deadlock, and the frontier already carries the parallelism.
-  cuts.push_back(SplitRange(ctx, lo, hi, demand, path.size(), seed,
-                            /*pool=*/nullptr, s, child_seeds, &mid));
-  FitRecurse(ctx, lo, mid, path + '0', child_seeds[0], s, out, cuts);
-  FitRecurse(ctx, mid, hi, path + '1', child_seeds[1], s, out, cuts);
-}
+  const double cut = SplitRange(ctx, lo, hi, fraction, path.size(), seed,
+                                lane.scratch, child_seeds, &mid);
+  // Arena accounting once per split (coarse-grained: ~20 capacity sums per
+  // bisection, invisible next to the bisection itself).
+  if (lane.scratch.NoteHighWater()) ScratchGrowthCounter().Increment();
+  lane.nodes.push_back({.cut = cut});
 
-// Parallel driver: expands the top of the recursion tree breadth-first —
-// splitting every non-terminal frontier node, each level's splits running
-// concurrently on disjoint position ranges — until the frontier carries at
-// least opts.threads sub-problems, then solves each frontier subtree
-// serially on the pool and merges the per-task results in preorder.
-// Preorder merging reproduces the serial group numbering exactly, and the
-// preorder cut fold reproduces the serial summation order, so the result is
-// bit-identical at every thread count. Every concurrent unit gets its own
-// scratch arena; results don't depend on arena history (DESIGN.md §11).
-RecursivePartitionResult RecursivePartitionParallel(
-    RangeCtx& ctx, const Resource& root_demand,
-    RecursivePartitionResult out) {
-  const auto n = static_cast<std::size_t>(ctx.csr->num_vertices());
-  obs::TraceSpan span("partition.parallel", static_cast<std::int64_t>(n));
-  const PartitionOptions& opts = *ctx.opts;
-  struct ExpandNode {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    std::string path;
-    std::uint64_t seed = 0;
-    Resource demand;
-    double cut = 0.0;
-    int left = -1;  // < 0: unexpanded (frontier task or terminal)
-    int right = -1;
+  const std::size_t bounds[3] = {lo, mid, hi};
+  NodeRef kids[2];
+  const auto child = [&](int child_slot, std::size_t c) {
+    kids[c] = FitRecurse(ctx, bounds[c], bounds[c + 1],
+                         path + static_cast<char>('0' + c), child_seeds[c],
+                         child_slot, lanes);
   };
-
-  ThreadPool pool(opts.threads);
-  std::size_t scratch_peak = 0;  // max arena high-water over all arenas
-
-  // Root is split in place on the calling thread, with the pool driving the
-  // split's own coarsening and refinement — at depth 0 the whole-graph
-  // bisection IS the serial wall, so this is where intra-bisection
-  // parallelism pays the most.
-  std::vector<ExpandNode> tree(3);
-  {
-    PartitionScratch s;
-    std::size_t mid = 0;
-    std::uint64_t child_seeds[2];
-    tree[0].lo = 0;
-    tree[0].hi = n;
-    tree[0].seed = opts.seed;
-    tree[0].demand = root_demand;
-    tree[0].cut = SplitRange(ctx, 0, n, root_demand, 0, opts.seed, &pool, s,
-                             child_seeds, &mid);
-    scratch_peak = std::max(scratch_peak, s.peak_bytes);
-    tree[0].left = 1;
-    tree[0].right = 2;
-    tree[1] = {0,   mid, "0", child_seeds[0], RangeDemand(ctx, 0, mid),
-               0.0, -1,  -1};
-    tree[2] = {mid, n,   "1", child_seeds[1], RangeDemand(ctx, mid, n),
-               0.0, -1,  -1};
+  if (ctx.pool == nullptr) {
+    child(slot, 0);
+    child(slot, 1);
+  } else {
+    ctx.pool->ParallelForChunked(
+        2, 1, [&](int child_slot, std::size_t c, std::size_t) {
+          // Spawned subtree; arg = its depth in the recursion tree.
+          obs::TraceSpan worker_span(
+              "partition.worker", static_cast<std::int64_t>(path.size() + 1),
+              /*parallel_lane=*/true);
+          child(child_slot, c);
+        });
   }
-  std::vector<int> frontier = {1, 2};
-
-  // Oversubscribe the frontier 4×: worker subtrees differ wildly in cost,
-  // and more, smaller subtrees let fast lanes keep absorbing work instead
-  // of idling behind the largest one. Expansion depth is result-neutral —
-  // per-node seeds derive from the recursion path and the merge below is
-  // preorder — so the target only shapes scheduling.
-  while (static_cast<int>(frontier.size()) < 4 * opts.threads) {
-    std::vector<int> splittable;
-    for (const int idx : frontier) {
-      const auto& nd = tree[static_cast<std::size_t>(idx)];
-      if (nd.hi - nd.lo > 1 && !FitTerminal(ctx, nd.lo, nd.hi, nd.demand)) {
-        splittable.push_back(idx);
-      }
-    }
-    if (splittable.empty()) break;
-
-    struct SplitOut {
-      double cut = 0.0;
-      std::size_t mid = 0;
-      std::uint64_t child_seeds[2] = {0, 0};
-    };
-    std::vector<SplitOut> splits(splittable.size());
-    std::vector<PartitionScratch> scratch(splittable.size());
-    if (splittable.size() == 1) {
-      // A lone expansion split runs on the calling thread with the pool
-      // inside the bisection (calling it from a pool task would re-enter
-      // ParallelFor); with several, the splits themselves are the
-      // parallelism.
-      const auto& nd = tree[static_cast<std::size_t>(splittable[0])];
-      splits[0].cut =
-          SplitRange(ctx, nd.lo, nd.hi, nd.demand, nd.path.size(), nd.seed,
-                     &pool, scratch[0], splits[0].child_seeds,
-                     &splits[0].mid);
-    } else {
-      pool.ParallelFor(splittable.size(), [&](std::size_t k) {
-        const auto& nd = tree[static_cast<std::size_t>(splittable[k])];
-        splits[k].cut = SplitRange(ctx, nd.lo, nd.hi, nd.demand,
-                                   nd.path.size(), nd.seed, /*pool=*/nullptr,
-                                   scratch[k], splits[k].child_seeds,
-                                   &splits[k].mid);
-      });
-    }
-    for (const auto& s : scratch) {
-      scratch_peak = std::max(scratch_peak, s.peak_bytes);
-    }
-
-    // Graft the children in, preserving the frontier's DFS order.
-    std::vector<int> next_frontier;
-    std::size_t k = 0;
-    for (const int idx : frontier) {
-      if (k < splittable.size() && splittable[k] == idx) {
-        const int left = static_cast<int>(tree.size());
-        const int right = left + 1;
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        std::string path;
-        {
-          // Scoped: push_back below may reallocate and dangle this reference.
-          auto& nd = tree[static_cast<std::size_t>(idx)];
-          nd.cut = splits[k].cut;
-          nd.left = left;
-          nd.right = right;
-          lo = nd.lo;
-          hi = nd.hi;
-          path = nd.path;
-        }
-        const std::size_t mid = splits[k].mid;
-        tree.push_back({lo,  mid, path + '0', splits[k].child_seeds[0],
-                        RangeDemand(ctx, lo, mid), 0.0, -1, -1});
-        tree.push_back({mid, hi,  path + '1', splits[k].child_seeds[1],
-                        RangeDemand(ctx, mid, hi), 0.0, -1, -1});
-        next_frontier.push_back(left);
-        next_frontier.push_back(right);
-        ++k;
-      } else {
-        next_frontier.push_back(idx);
-      }
-    }
-    frontier = std::move(next_frontier);
-  }
-
-  // Solve each frontier subtree serially, into task-local results.
-  struct TaskResult {
-    RecursivePartitionResult out;
-    std::vector<double> cuts;
-  };
-  std::vector<TaskResult> results(frontier.size());
-  std::vector<PartitionScratch> scratch(frontier.size());
-  pool.ParallelFor(frontier.size(), [&](std::size_t k) {
-    // Per-worker subtree span; arg = frontier slot (stable across runs).
-    obs::TraceSpan worker_span("partition.worker",
-                               static_cast<std::int64_t>(k));
-    const auto& nd = tree[static_cast<std::size_t>(frontier[k])];
-    results[k].out.group_of.assign(n, -1);
-    FitRecurse(ctx, nd.lo, nd.hi, nd.path, nd.seed, scratch[k],
-               results[k].out, results[k].cuts);
-  });
-  for (const auto& s : scratch) {
-    scratch_peak = std::max(scratch_peak, s.peak_bytes);
-  }
-  PublishScratchPeak(scratch_peak);
-  PublishPoolStats(pool.Stats());
-
-  // Preorder merge on the calling thread: group ids, paths and cut terms
-  // land in exactly the order the serial recursion would have produced.
-  std::vector<int> task_of(tree.size(), -1);
-  for (std::size_t k = 0; k < frontier.size(); ++k) {
-    task_of[static_cast<std::size_t>(frontier[k])] = static_cast<int>(k);
-  }
-  double cut_weight = 0.0;
-  // Explicit stack; the expansion tree is only ~log2(threads) deep but the
-  // iterative form costs nothing.
-  std::vector<int> stack = {0};
-  while (!stack.empty()) {
-    const int idx = stack.back();
-    stack.pop_back();
-    const auto& nd = tree[static_cast<std::size_t>(idx)];
-    if (nd.left < 0) {
-      const auto& tr = results[static_cast<std::size_t>(
-          task_of[static_cast<std::size_t>(idx)])];
-      const int base = out.num_groups;
-      for (std::size_t pos = nd.lo; pos < nd.hi; ++pos) {
-        const auto id = static_cast<std::size_t>(ctx.perm[pos]);
-        const int local = tr.out.group_of[id];
-        if (local >= 0) out.group_of[id] = base + local;
-      }
-      out.num_groups += tr.out.num_groups;
-      out.group_path.insert(out.group_path.end(), tr.out.group_path.begin(),
-                            tr.out.group_path.end());
-      out.group_demand.insert(out.group_demand.end(),
-                              tr.out.group_demand.begin(),
-                              tr.out.group_demand.end());
-      out.group_size.insert(out.group_size.end(), tr.out.group_size.begin(),
-                            tr.out.group_size.end());
-      for (const int og : tr.out.oversized_groups) {
-        out.oversized_groups.push_back(base + og);
-      }
-      for (const double c : tr.cuts) cut_weight += c;
-      continue;
-    }
-    cut_weight += nd.cut;
-    // Right pushed first so the left subtree is visited first (preorder).
-    stack.push_back(nd.right);
-    stack.push_back(nd.left);
-  }
-  out.cut_weight = cut_weight;
-  return out;
+  // The children may have grown this lane: index, don't hold a reference.
+  std::copy(kids, kids + 2, lane.nodes[self.index].kids);
+  return self;
 }
 
 void InitRangeCtx(RangeCtx& ctx, const Graph& g, const CsrGraph& csr,
@@ -1088,8 +939,8 @@ void InitRangeCtx(RangeCtx& ctx, const Graph& g, const CsrGraph& csr,
 }
 
 void KWayRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi, int k,
-                 int first_group, std::uint64_t seed, PartitionScratch& s,
-                 KWayResult& out) {
+                 int first_group, std::size_t depth, std::uint64_t seed,
+                 PartitionScratch& s, KWayResult& out) {
   if (k == 1 || hi - lo <= 1) {
     for (std::size_t pos = lo; pos < hi; ++pos) {
       out.group_of[static_cast<std::size_t>(ctx.perm[pos])] = first_group;
@@ -1097,31 +948,15 @@ void KWayRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi, int k,
     return;
   }
   const int k0 = (k + 1) / 2;
-  PartitionOptions sub = *ctx.opts;
-  sub.seed = seed;
-  ExtractSub(ctx, lo, hi, s.sub);
-  const auto bis =
-      BisectCsr(s.sub, sub, static_cast<double>(k0) / static_cast<double>(k),
-                /*pool=*/nullptr, s, s.node_side);
-  out.cut_weight += bis.cut_weight;
-
-  s.split_zero.clear();
-  s.split_one.clear();
-  const std::size_t count = hi - lo;
-  for (std::size_t i = 0; i < count; ++i) {
-    (s.node_side[i] == 0 ? s.split_zero : s.split_one)
-        .push_back(ctx.perm[lo + i]);
-  }
-  std::size_t pos = lo;
-  for (const auto v : s.split_zero) ctx.Place(v, pos++);
-  for (const auto v : s.split_one) ctx.Place(v, pos++);
-  const std::size_t mid = lo + s.split_zero.size();
-
-  Rng salt(seed);
-  const auto s1 = salt.NextU64();
-  const auto s2 = salt.NextU64();
-  KWayRecurse(ctx, lo, mid, k0, first_group, s1, s, out);
-  KWayRecurse(ctx, mid, hi, k - k0, first_group + k0, s2, s, out);
+  std::size_t mid = lo;
+  std::uint64_t child_seeds[2];
+  out.cut_weight += SplitRange(
+      ctx, lo, hi, static_cast<double>(k0) / static_cast<double>(k), depth,
+      seed, s, child_seeds, &mid);
+  KWayRecurse(ctx, lo, mid, k0, first_group, depth + 1, child_seeds[0], s,
+              out);
+  KWayRecurse(ctx, mid, hi, k - k0, first_group + k0, depth + 1,
+              child_seeds[1], s, out);
 }
 
 }  // namespace
@@ -1137,7 +972,7 @@ KWayResult KWayPartition(const Graph& g, int k, const PartitionOptions& opts) {
   InitRangeCtx(ctx, g, csr, opts);
   PartitionScratch scratch;
   KWayRecurse(ctx, 0, static_cast<std::size_t>(g.num_vertices()), k, 0,
-              opts.seed, scratch, out);
+              /*depth=*/0, opts.seed, scratch, out);
   if (opts.kway_refine_passes > 0 && k > 1) {
     RefineKWay(g, out.group_of, k, opts);
     out.cut_weight = g.CutWeightKWay(out.group_of);
@@ -1241,17 +1076,37 @@ RecursivePartitionResult RecursivePartition(const Graph& g,
   ctx.fits = &fits;
   ctx.units = &units;
 
-  const Resource root_demand = RangeDemand(ctx, 0, n);
-  if (opts.threads > 1 && n > 1 && !FitTerminal(ctx, 0, n, root_demand)) {
-    return RecursivePartitionParallel(ctx, root_demand, std::move(out));
-  }
-  PartitionScratch scratch;
-  std::vector<double> cuts;
-  FitRecurse(ctx, 0, n, "", opts.seed, scratch, out, cuts);
-  PublishScratchPeak(scratch.peak_bytes);
+  std::optional<ThreadPool> pool;
+  if (opts.threads > 1) ctx.pool = &pool.emplace(opts.threads);
+  std::vector<RecursionLane> lanes(
+      static_cast<std::size_t>(pool ? pool->num_threads() : 1));
+  const NodeRef root = FitRecurse(ctx, 0, n, "", opts.seed, /*slot=*/0, lanes);
+
+  // Preorder walk — node, then child 0's subtree, then child 1's — is the
+  // serial visit order, so group numbering and the left-fold of the cuts
+  // are identical at every thread count.
   double cut_weight = 0.0;
-  for (const double c : cuts) cut_weight += c;
+  std::vector<NodeRef> stack = {root};
+  while (!stack.empty()) {
+    const NodeRef ref = stack.back();
+    stack.pop_back();
+    RecursionNode& nd =
+        lanes[static_cast<std::size_t>(ref.slot)].nodes[ref.index];
+    if (nd.leaf) {
+      RecordFitLeaf(ctx, nd.lo, nd.hi, nd.demand, std::move(nd.path), out);
+    } else {
+      cut_weight += nd.cut;
+      stack.push_back(nd.kids[1]);
+      stack.push_back(nd.kids[0]);
+    }
+  }
   out.cut_weight = cut_weight;
+  std::size_t scratch_peak = 0;
+  for (const auto& lane : lanes) {
+    scratch_peak = std::max(scratch_peak, lane.scratch.peak_bytes);
+  }
+  PublishScratchPeak(scratch_peak);
+  if (pool) PublishPoolStats(pool->Stats());
   return out;
 }
 

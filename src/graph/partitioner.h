@@ -59,9 +59,10 @@ struct PartitionOptions {
   // never the thread count), so changing it changes partitions.
   int parallel_min_vertices = 4096;
   std::uint64_t seed = 0x5eed;
-  // Worker threads for RecursivePartition's fan-out (1 = serial). Results
+  // Threads for RecursivePartition (1 = serial): each split's bisection and
+  // its two child subtrees run on one nested pool of this width. Results
   // are bit-identical for every value: sub-partitions are seeded from the
-  // recursion path and merged in child-index (preorder) order.
+  // recursion path and merged in recursion-path (preorder) order.
   int threads = 1;
 };
 

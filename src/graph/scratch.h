@@ -6,13 +6,12 @@
 // recursion nodes, and epochs. Each helper re-initializes the portion it
 // uses (assign/Reset) before reading it, so results never depend on what a
 // previous subproblem left behind: a fresh arena and a warm arena produce
-// bit-identical partitions. That property is what lets the parallel
-// recursion driver hand each worker its own arena without changing results
-// (DESIGN.md §9).
+// bit-identical partitions. That property is what lets the recursion hand
+// each pool slot its own arena without changing results (DESIGN.md §9).
 //
 // Nothing here is thread-safe; an arena belongs to exactly one thread at a
-// time. The parallel driver enforces that by construction (one arena per
-// ParallelFor slot).
+// time. The recursion enforces that by construction (one arena per pool
+// slot, and a slot runs one split at a time).
 #pragma once
 
 #include <cmath>
@@ -209,8 +208,8 @@ struct FmTrialScratch {
 };
 
 // The partitioner's working memory. One arena serves a whole serial
-// recursive partition; the parallel driver gives each concurrently-solved
-// subtree its own. Buffers are grouped by the phase that owns them; phases
+// recursive partition; with a pool, each slot's splits run in that slot's
+// own arena. Buffers are grouped by the phase that owns them; phases
 // never overlap, so none alias.
 struct PartitionScratch {
   // Multilevel hierarchy: coarse level i lives in levels[i] and maps fine

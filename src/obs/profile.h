@@ -14,8 +14,8 @@
 // the (tid, depth) fields the span stack already records, and spans opened
 // on pool worker lanes (depth 0 on their own thread) are adopted by the
 // smallest span on another thread that fully contains them in time — which
-// recovers `partition.worker` under `partition.parallel` without the trace
-// layer knowing anything about fork points.
+// recovers a `partition.worker` subtree under the split that spawned it
+// without the trace layer knowing anything about fork points.
 //
 // Everything here is informational (DESIGN.md §10): profiles are derived
 // from timings, never hashed, never compared for equality, and never feed a

@@ -1,5 +1,6 @@
 #include "workload/workload_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -25,11 +26,14 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return cells;
 }
 
+// Demands and flows must be finite: std::stod accepts "nan" and "inf", and
+// NaN fails every range comparison, so the callers' checks alone would let
+// it through.
 bool ParseDouble(const std::string& s, double& out) {
   try {
     std::size_t pos = 0;
     out = std::stod(s, &pos);
-    return pos == s.size();
+    return pos == s.size() && std::isfinite(out);
   } catch (...) {
     return false;
   }
@@ -129,9 +133,12 @@ LoadResult ReadWorkloadCsv(std::istream& containers, std::istream& edges) {
       return fail("bad edge values");
     }
     const int n = result.workload.size();
-    if (a < 0 || a >= n || b < 0 || b >= n || a == b) {
+    if (a < 0 || a >= n || b < 0 || b >= n) {
       return fail("edge endpoints out of range");
     }
+    if (a == b) return fail("self-loop edge");
+    // Anti-affinity comes from replica_set, never from a negative flow.
+    if (flows <= 0) return fail("edge flows must be positive");
     result.workload.edges.push_back(
         {ContainerId{a}, ContainerId{b}, flows, q != 0});
   }

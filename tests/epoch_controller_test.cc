@@ -133,20 +133,50 @@ TEST(WorkloadIo, RejectsNonDenseIds) {
 }
 
 TEST(WorkloadIo, RejectsDanglingEdges) {
-  std::stringstream cs("id,app,cpu,mem_gb,net_mbps,service,replica_set\n"
-                       "0,Memcached,1,1,1,0,\n");
-  std::stringstream es("a,b,flows,is_query\n0,7,3,1\n");
-  const auto loaded = ReadWorkloadCsv(cs, es);
-  EXPECT_FALSE(loaded.ok);
-  EXPECT_NE(loaded.error.find("out of range"), std::string::npos);
+  // Each bad row sits on line 3, behind a good one, and the error names
+  // both the line and the fault.
+  const struct {
+    const char* row;
+    const char* error;
+  } cases[] = {
+      {"0,7,3,1", "out of range"},  {"1,1,3,0", "self-loop"},
+      {"0,1,nan,0", "bad edge"},    {"0,1,inf,0", "bad edge"},
+      {"0,1,-inf,0", "bad edge"},   {"0,1,0,0", "flows must be positive"},
+      {"0,1,-3,0", "flows must be positive"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream cs("id,app,cpu,mem_gb,net_mbps,service,replica_set\n"
+                         "0,Memcached,1,1,1,0,\n"
+                         "1,Memcached,1,1,1,0,\n");
+    std::stringstream es(std::string("a,b,flows,is_query\n0,1,3,1\n") +
+                         c.row + "\n");
+    const auto loaded = ReadWorkloadCsv(cs, es);
+    EXPECT_FALSE(loaded.ok) << c.row;
+    EXPECT_NE(loaded.error.find("line 3"), std::string::npos)
+        << c.row << ": " << loaded.error;
+    EXPECT_NE(loaded.error.find(c.error), std::string::npos)
+        << c.row << ": " << loaded.error;
+  }
 }
 
 TEST(WorkloadIo, RejectsNegativeDemand) {
-  std::stringstream cs("id,app,cpu,mem_gb,net_mbps,service,replica_set\n"
-                       "0,Memcached,-5,1,1,0,\n");
-  std::stringstream es("a,b,flows,is_query\n");
-  const auto loaded = ReadWorkloadCsv(cs, es);
-  EXPECT_FALSE(loaded.ok);
+  // Negative and non-finite demands alike; the bad row is line 3.
+  for (const char* row :
+       {"1,Memcached,-5,1,1,0,", "1,Memcached,nan,1,1,0,",
+        "1,Memcached,1,inf,1,0,", "1,Memcached,1,1,-inf,0,",
+        "1,Memcached,1,1,NAN,0,"}) {
+    std::stringstream cs(
+        std::string("id,app,cpu,mem_gb,net_mbps,service,replica_set\n"
+                    "0,Memcached,1,1,1,0,\n") +
+        row + "\n");
+    std::stringstream es("a,b,flows,is_query\n");
+    const auto loaded = ReadWorkloadCsv(cs, es);
+    EXPECT_FALSE(loaded.ok) << row;
+    EXPECT_NE(loaded.error.find("line 3"), std::string::npos)
+        << row << ": " << loaded.error;
+    EXPECT_NE(loaded.error.find("bad demand"), std::string::npos)
+        << row << ": " << loaded.error;
+  }
 }
 
 TEST(WorkloadIo, UnknownAppMapsToGeneric) {

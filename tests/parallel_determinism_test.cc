@@ -2,10 +2,11 @@
 //
 // The concurrency contract promises that the `threads` knobs never change
 // results: the same seed must produce bit-identical EpochStateHash streams
-// and final placements at threads=1, 2 and 8. These tests are the contract's
-// executable form, and CI runs them under TSan so a data race in the
-// parallel paths fails the build even when it happens not to corrupt the
-// hashes.
+// and final placements at threads=1, 2, 3, 4 and 8. These tests are the
+// contract's executable form, and CI runs them under TSan so a data race in
+// the parallel paths fails the build even when it happens not to corrupt
+// the hashes.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,7 +24,7 @@ namespace gl {
 namespace {
 
 constexpr int kEpochs = 10;
-const int kThreadCounts[] = {1, 2, 8};
+const int kThreadCounts[] = {1, 2, 3, 4, 8};
 
 std::vector<EpochStateHash> RunHashed(const std::string& scheduler_name,
                                       const Scenario& scenario,
@@ -105,56 +106,91 @@ TEST(ParallelDeterminism, RunManyMatchesSequentialRuns) {
   }
 }
 
-// Partitioner-level check: every field of the result — group numbering,
-// recursion paths, demands, sizes and the float cut weight — is exactly
-// equal, not merely hash-equal, at every thread count.
-TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
-  // Clustered graph shaped like a container graph: services of ~8 with
-  // heavy intra edges, sparse light inter-service edges.
-  Rng rng(7);
+// Clustered graph shaped like a container graph: services of ~8 with heavy
+// intra edges, sparse light inter-service edges.
+Graph ServiceClusteredGraph(int vertices, std::uint64_t seed) {
+  Rng rng(seed);
   Graph g;
-  constexpr int kVertices = 800;
-  for (int i = 0; i < kVertices; ++i) {
+  for (int i = 0; i < vertices; ++i) {
     g.AddVertex(Resource{.cpu = rng.Uniform(20, 60), .mem_gb = 4,
                          .net_mbps = rng.Uniform(5, 50)},
                 1.0);
   }
-  for (int s = 0; s + 8 <= kVertices; s += 8) {
+  for (int s = 0; s + 8 <= vertices; s += 8) {
     for (int i = 1; i < 8; ++i) g.AddEdge(s, s + i, rng.Uniform(100, 5000));
   }
-  for (int e = 0; e < kVertices / 2; ++e) {
-    const auto a = static_cast<VertexIndex>(rng.NextBelow(kVertices));
-    const auto b = static_cast<VertexIndex>(rng.NextBelow(kVertices));
+  for (int e = 0; e < vertices / 2; ++e) {
+    const auto a = static_cast<VertexIndex>(rng.NextBelow(vertices));
+    const auto b = static_cast<VertexIndex>(rng.NextBelow(vertices));
     if (a != b) g.AddEdge(a, b, rng.Uniform(1, 50));
   }
+  return g;
+}
+
+// A deliberately unbalanced recursion: one heavy, tightly chained cluster
+// that needs many splits beside many light four-container services that
+// fit after a few, so sibling subtrees differ widely in depth and cost.
+Graph HeavyPlusLightClustersGraph(std::uint64_t seed) {
+  Rng rng(seed);
+  Graph g;
+  constexpr int kHeavy = 600;
+  constexpr int kLight = 1200;
+  for (int i = 0; i < kHeavy; ++i) {
+    g.AddVertex(Resource{.cpu = rng.Uniform(200, 400), .mem_gb = 2,
+                         .net_mbps = rng.Uniform(5, 20)},
+                1.0);
+  }
+  for (int i = 0; i < kLight; ++i) {
+    g.AddVertex(Resource{.cpu = rng.Uniform(5, 15), .mem_gb = 1,
+                         .net_mbps = rng.Uniform(1, 5)},
+                1.0);
+  }
+  for (int i = 1; i < kHeavy; ++i) {
+    const auto back = static_cast<int>(rng.NextBelow(std::min(i, 8)));
+    g.AddEdge(i - 1 - back, i, rng.Uniform(100, 1000));
+  }
+  for (int s = kHeavy; s + 4 <= kHeavy + kLight; s += 4) {
+    for (int i = 1; i < 4; ++i) g.AddEdge(s, s + i, rng.Uniform(10, 100));
+  }
+  return g;
+}
+
+// Partitioner-level check: every field of the result — group numbering,
+// recursion paths, demands, sizes and the float cut weight — is exactly
+// equal, not merely hash-equal, at every thread count.
+TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
   const Resource ceiling{.cpu = 2240, .mem_gb = 57, .net_mbps = 700};
   const auto fits = [&](const Resource& demand, int) {
     return demand.FitsIn(ceiling);
   };
-
-  PartitionOptions opts;
-  const auto serial = RecursivePartition(g, fits, opts);
-  EXPECT_GT(serial.num_groups, 1);
-  for (const int threads : kThreadCounts) {
-    PartitionOptions popts;
-    popts.threads = threads;
-    const auto parallel = RecursivePartition(g, fits, popts);
-    EXPECT_EQ(parallel.group_of, serial.group_of) << "threads=" << threads;
-    EXPECT_EQ(parallel.num_groups, serial.num_groups);
-    EXPECT_EQ(parallel.group_path, serial.group_path);
-    EXPECT_EQ(parallel.group_size, serial.group_size);
-    EXPECT_EQ(parallel.oversized_groups, serial.oversized_groups);
-    ASSERT_EQ(parallel.group_demand.size(), serial.group_demand.size());
-    for (std::size_t i = 0; i < serial.group_demand.size(); ++i) {
-      EXPECT_EQ(parallel.group_demand[i].cpu, serial.group_demand[i].cpu);
-      EXPECT_EQ(parallel.group_demand[i].mem_gb,
-                serial.group_demand[i].mem_gb);
-      EXPECT_EQ(parallel.group_demand[i].net_mbps,
-                serial.group_demand[i].net_mbps);
+  const Graph graphs[] = {ServiceClusteredGraph(800, 7),
+                          HeavyPlusLightClustersGraph(5)};
+  for (const Graph& g : graphs) {
+    PartitionOptions opts;
+    const auto serial = RecursivePartition(g, fits, opts);
+    EXPECT_GT(serial.num_groups, 1);
+    for (const int threads : kThreadCounts) {
+      PartitionOptions popts;
+      popts.threads = threads;
+      const auto parallel = RecursivePartition(g, fits, popts);
+      EXPECT_EQ(parallel.group_of, serial.group_of) << "threads=" << threads;
+      EXPECT_EQ(parallel.num_groups, serial.num_groups);
+      EXPECT_EQ(parallel.group_path, serial.group_path);
+      EXPECT_EQ(parallel.group_size, serial.group_size);
+      EXPECT_EQ(parallel.oversized_groups, serial.oversized_groups);
+      ASSERT_EQ(parallel.group_demand.size(), serial.group_demand.size());
+      for (std::size_t i = 0; i < serial.group_demand.size(); ++i) {
+        EXPECT_EQ(parallel.group_demand[i].cpu, serial.group_demand[i].cpu);
+        EXPECT_EQ(parallel.group_demand[i].mem_gb,
+                  serial.group_demand[i].mem_gb);
+        EXPECT_EQ(parallel.group_demand[i].net_mbps,
+                  serial.group_demand[i].net_mbps);
+      }
+      // Bit-equality, not tolerance: the parallel fold replays the serial
+      // summation order.
+      EXPECT_EQ(parallel.cut_weight, serial.cut_weight)
+          << "threads=" << threads;
     }
-    // Bit-equality, not tolerance: the parallel fold replays the serial
-    // summation order.
-    EXPECT_EQ(parallel.cut_weight, serial.cut_weight) << "threads=" << threads;
   }
 }
 

@@ -210,6 +210,77 @@ TEST(ThreadPool, FreshPoolReportsUnitEfficiencyNotNan) {
   EXPECT_DOUBLE_EQ(stats.IdleUs(), 0.0);
 }
 
+// Three-deep nesting on one pool, mixing both loop kinds: the outer
+// ParallelFor's tasks run chunked loops whose chunks run ParallelFor again.
+// Leaf (i, j, k) writes only its own slot, so the result must equal the
+// serial run bit for bit at every width.
+constexpr std::size_t kOuter = 5;
+constexpr std::size_t kMiddle = 37;  // chunked with grain 4: 10 chunks
+constexpr std::size_t kInner = 6;
+
+std::vector<std::uint64_t> NestedLeafValues(
+    ThreadPool& pool, std::vector<std::atomic<int>>& hits) {
+  std::vector<std::uint64_t> out(kOuter * kMiddle * kInner, 0);
+  pool.ParallelFor(kOuter, [&](std::size_t i) {
+    pool.ParallelForChunked(
+        kMiddle, 4, [&](int slot, std::size_t begin, std::size_t end) {
+          EXPECT_GE(slot, 0);
+          EXPECT_LT(slot, pool.num_threads());
+          for (std::size_t j = begin; j < end; ++j) {
+            pool.ParallelFor(kInner, [&, i, j](std::size_t k) {
+              const std::size_t leaf = (i * kMiddle + j) * kInner + k;
+              hits[leaf].fetch_add(1, std::memory_order_relaxed);
+              std::uint64_t h = leaf * 2654435761u + 17;
+              for (int r = 0; r < 100; ++r) h = h * 6364136223846793005u + 1;
+              out[leaf] = h;
+            });
+          }
+        });
+  });
+  return out;
+}
+
+TEST(ThreadPool, NestedLoopsRunEveryIndexOnceAndMatchSerial) {
+  const std::size_t leaves = kOuter * kMiddle * kInner;
+  ThreadPool serial_pool(1);
+  std::vector<std::atomic<int>> serial_hits(leaves);
+  const auto expected = NestedLeafValues(serial_pool, serial_hits);
+  for (const int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(leaves);
+    EXPECT_EQ(NestedLeafValues(pool, hits), expected)
+        << "threads " << threads;
+    for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
+      ASSERT_EQ(hits[leaf].load(), 1)
+          << "leaf " << leaf << " threads " << threads;
+    }
+  }
+}
+
+// Nested loops are counted as tasks and batches, but their time is already
+// inside an outer task's busy bracket and an outer batch's wall: counting
+// it again would push the efficiency past 1.
+TEST(ThreadPool, NestedStatsCountOnlyOutermostTime) {
+  const std::size_t leaves = kOuter * kMiddle * kInner;
+  for (const int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(leaves);
+    (void)NestedLeafValues(pool, hits);
+    const ThreadPoolStats stats = pool.Stats();
+    EXPECT_EQ(stats.batches, 1u + kOuter + kOuter * kMiddle)
+        << "threads " << threads;
+    EXPECT_EQ(stats.tasks, kOuter + kOuter * 10u + leaves);
+    const double per_thread_sum =
+        std::accumulate(stats.per_thread_busy_us.begin(),
+                        stats.per_thread_busy_us.end(), 0.0);
+    EXPECT_NEAR(per_thread_sum, stats.busy_us, 1e-9 * stats.busy_us + 1e-6)
+        << "threads " << threads;
+    EXPECT_GT(stats.busy_us, 0.0);
+    EXPECT_GT(stats.ParallelEfficiency(), 0.0) << "threads " << threads;
+    EXPECT_LE(stats.ParallelEfficiency(), 1.0) << "threads " << threads;
+  }
+}
+
 TEST(ThreadPool, ManyMoreTasksThanThreads) {
   ThreadPool pool(2);
   constexpr std::size_t kCount = 10000;
