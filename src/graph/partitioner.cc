@@ -503,6 +503,16 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
   FmRejectionsCounter().Add(rejections);
 }
 
+// True when some arc of `g` carries a negative (anti-affinity) weight.
+bool HasNegativeArc(const CsrGraph& g) {
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    for (const double w : g.arc_weights(v)) {
+      if (w < 0.0) return true;
+    }
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // Multilevel bisection on a CSR graph, entirely in arena storage: coarsen
 // into s.levels, grow + refine on the coarsest, project back through the
@@ -581,26 +591,41 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   // vertices a stall budget of 256 means every pass churns the whole graph
   // and rolls most of it back. Never raises the caller's limit.
   quick.fm_stall_limit = std::min(quick.fm_stall_limit, 16);
-  double best_cut = 0.0;
+  // Unbeatable-trial stop (DESIGN.md §11): a later trial wins only with a
+  // violation or cut lower by more than the fold's tolerance. Neither goes
+  // below zero without a negative arc, so once the ideal outcome {0, 0}
+  // no longer beats the best even at zero tolerance, the rest cannot
+  // change the result. Their skipped RNG draws are invisible only when no
+  // level below draws a salt FmRefineMultiTrial would use.
+  const int max_trials = std::max(1, opts.initial_trials);
+  const bool salts_unused =
+      levels.size() == 1 || opts.fm_trials <= 1 ||
+      n < static_cast<VertexIndex>(opts.parallel_min_vertices);
+  const bool may_stop =
+      max_trials > 1 && salts_unused && !HasNegativeArc(coarsest);
+  FmTrialOutcome best;
   double best_w0 = 0.0;
-  bool have_best = false;
-  for (int t = 0; t < std::max(1, opts.initial_trials); ++t) {
-    double w0 = 0.0;
-    GrowInitialPartition(coarsest, coarse_bounds, rng, s, s.trial_side, &w0);
-    double cut = 0.0;  // FmRefine derives it from the Attach scan
-    FmRefine(coarsest, coarse_bounds, quick, s.trial_side, cut, w0, s);
-    const bool better =
-        !have_best ||
-        coarse_bounds.Violation(w0) < coarse_bounds.Violation(best_w0) - 1e-12 ||
-        (coarse_bounds.Violation(w0) <=
-             coarse_bounds.Violation(best_w0) + 1e-12 &&
-         cut < best_cut - 1e-12);
-    if (better) {
-      s.best_side.swap(s.trial_side);
-      best_cut = cut;
-      best_w0 = w0;
-      have_best = true;
+  int trials_run = 0;
+  {
+    obs::TraceSpan initial_span("partition.initial");
+    for (int t = 0; t < max_trials; ++t) {
+      double w0 = 0.0;
+      GrowInitialPartition(coarsest, coarse_bounds, rng, s, s.trial_side,
+                           &w0);
+      double cut = 0.0;  // FmRefine derives it from the Attach scan
+      FmRefine(coarsest, coarse_bounds, quick, s.trial_side, cut, w0, s);
+      const FmTrialOutcome outcome{coarse_bounds.Violation(w0), cut};
+      if (t == 0 || FmOutcomeBeats(outcome, best)) {
+        s.best_side.swap(s.trial_side);
+        best = outcome;
+        best_w0 = w0;
+      }
+      trials_run = t + 1;
+      if (may_stop && !FmOutcomeBeats(FmTrialOutcome{}, best, /*tol=*/0.0)) {
+        break;
+      }
     }
+    initial_span.set_arg(trials_run);
   }
 
   // Project through the hierarchy, refining at every level. Each level
@@ -608,7 +633,7 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   // per-trial sub-streams are a pure function of (seed, level) — never of
   // scheduling.
   s.side.assign(s.best_side.begin(), s.best_side.end());
-  double cut = best_cut;
+  double cut = best.cut;
   double w0 = best_w0;
   for (std::size_t lvl = levels.size() - 1; lvl > 0; --lvl) {
     const CsrGraph& fine = *levels[lvl - 1];

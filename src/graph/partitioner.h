@@ -37,7 +37,10 @@ struct PartitionOptions {
   double balance_tolerance = 0.10;
   // Coarsening stops when the graph has at most this many vertices.
   int coarsen_target = 96;
-  // Independent greedy-graph-growing attempts on the coarsest graph.
+  // Upper bound on the greedy-graph-growing attempts on the coarsest graph.
+  // The attempts stop early once no later one could replace the best (a
+  // feasible zero cut; DESIGN.md §11 lists the conditions), which never
+  // changes the result.
   int initial_trials = 8;
   // Maximum FM passes per level (each pass ends early when it stalls).
   int refine_passes = 8;

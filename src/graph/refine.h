@@ -4,9 +4,9 @@
 // same projected assignment (partitioner.cc); the fold below decides which
 // trial's result the bisection adopts. It is a serial left-fold over
 // ascending trial ids with the same (violation, cut) preference the
-// initial-partition trials have always used, so the chosen trial is a pure
-// function of the trial outcomes — invariant to completion order, thread
-// count, and scheduling (DESIGN.md §9).
+// initial-partition trials use (FmOutcomeBeats), so the chosen trial is a
+// pure function of the trial outcomes — invariant to completion order,
+// thread count, and scheduling (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>
@@ -20,18 +20,23 @@ struct FmTrialOutcome {
   double cut = 0.0;
 };
 
-// Index of the canonical winner: a strictly smaller balance violation wins
-// (1e-12 tolerance), then a strictly smaller cut (1e-12); ties keep the
+// The one fold rule: `a` replaces the incumbent `b` when its balance
+// violation is smaller by more than `tol`, or when it is no worse than
+// `tol` and its cut is smaller by more than `tol`.
+[[nodiscard]] inline bool FmOutcomeBeats(const FmTrialOutcome& a,
+                                         const FmTrialOutcome& b,
+                                         double tol = 1e-12) {
+  return a.violation < b.violation - tol ||
+         (a.violation <= b.violation + tol && a.cut < b.cut - tol);
+}
+
+// Index of the canonical winner under FmOutcomeBeats; ties keep the
 // smallest trial id. `trials` must be non-empty.
 [[nodiscard]] inline std::size_t PickFmWinner(
     std::span<const FmTrialOutcome> trials) {
   std::size_t best = 0;
   for (std::size_t t = 1; t < trials.size(); ++t) {
-    const bool better =
-        trials[t].violation < trials[best].violation - 1e-12 ||
-        (trials[t].violation <= trials[best].violation + 1e-12 &&
-         trials[t].cut < trials[best].cut - 1e-12);
-    if (better) best = t;
+    if (FmOutcomeBeats(trials[t], trials[best])) best = t;
   }
   return best;
 }

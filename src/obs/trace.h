@@ -117,6 +117,10 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  // Replaces the arg recorded at close, for counts known only once the
+  // span's work is done.
+  void set_arg(std::int64_t arg) { arg_ = arg; }
+
  private:
   Trace* trace_;  // nullptr when no trace was active at construction
   const char* name_;

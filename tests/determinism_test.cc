@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -226,6 +227,46 @@ TEST(SeedReplay, EpochControllerStreamsMatch) {
   }
   // The stream is not degenerate: successive epochs hash differently.
   EXPECT_NE(first[0].Combined(), first[1].Combined());
+}
+
+// Goldilocks' per-epoch Combined() digests on Testbed16, 12 epochs, seed
+// 0xfeed, recorded at commit 2e5837c (`gl_replay --verbose --epochs=12
+// --scheduler=goldilocks`). Partitioner speedups must leave placements
+// bit-identical; a change that moves them re-blesses these (DESIGN.md §11).
+constexpr std::uint64_t kGoldilocksAzureDigests[] = {
+    0x669b7e299225f75dull, 0x4503d0d0ac9d91e5ull, 0xb12c8fc84df4faafull,
+    0x8555c79da1979331ull, 0x1b7a629bb4554552ull, 0x9b8a8586b3123496ull,
+    0xef6bd33474950894ull, 0x4e510dd599403b6eull, 0xcfca81cad2e34eedull,
+    0xeebc8b6f11019547ull, 0x8a2c4889963efe6cull, 0x4b3598b1d88ac06aull,
+};
+constexpr std::uint64_t kGoldilocksTwitterDigests[] = {
+    0x709f97279e414969ull, 0x9a8fafc8fa488c7full, 0x40faf74f820c4648ull,
+    0xe02905590893c8b1ull, 0xdcfa2fc7c94cf636ull, 0x0c4aae5a72d77a74ull,
+    0xcf5a98b1530b586full, 0xd8caff336e2bb949ull, 0x3fb86aff40c1d5fcull,
+    0xc5b2f8d478ac8f66ull, 0x6d65284de8b19ae6ull, 0x4768cec20766a49full,
+};
+
+void ExpectPinnedDigests(const Scenario& scenario,
+                         std::span<const std::uint64_t> pinned) {
+  const auto hashes =
+      RunHashed("goldilocks", scenario, Topology::Testbed16());
+  ASSERT_EQ(hashes.size(), pinned.size());
+  for (std::size_t e = 0; e < hashes.size(); ++e) {
+    EXPECT_EQ(hashes[e].Combined(), pinned[e]) << hashes[e].ToString();
+  }
+}
+
+TEST(SeedReplay, GoldilocksAzureMixMatchesPinnedDigests) {
+  AzureScenarioOptions sopts;
+  sopts.num_epochs = 12;
+  ExpectPinnedDigests(*MakeAzureMixScenario(sopts), kGoldilocksAzureDigests);
+}
+
+TEST(SeedReplay, GoldilocksTwitterMatchesPinnedDigests) {
+  TwitterScenarioOptions sopts;
+  sopts.num_epochs = 12;
+  ExpectPinnedDigests(*MakeTwitterCachingScenario(sopts),
+                      kGoldilocksTwitterDigests);
 }
 
 TEST(SeedReplay, HashesOffByDefault) {

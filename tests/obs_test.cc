@@ -89,13 +89,17 @@ TEST(TraceTest, RecordsNestedSpansWithDepths) {
     obs::TraceSpan outer("outer");
     { obs::TraceSpan inner("inner", 7); }
     { obs::TraceSpan inner("inner", 8); }
+    outer.set_arg(2);  // a count known only at close
   }
   trace.Deactivate();
   const auto events = trace.Events();
   ASSERT_EQ(events.size(), 3u);
   int outer_depth = -1;
   for (const auto& ev : events) {
-    if (std::string(ev.name) == "outer") outer_depth = ev.depth;
+    if (std::string(ev.name) == "outer") {
+      outer_depth = ev.depth;
+      EXPECT_EQ(ev.arg, 2);
+    }
   }
   ASSERT_GE(outer_depth, 0);
   for (const auto& ev : events) {

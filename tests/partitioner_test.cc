@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "graph/partitioner.h"
 #include "graph/refine.h"
+#include "obs/metrics.h"
 
 namespace gl {
 namespace {
@@ -459,6 +460,16 @@ TEST(PickFmWinnerTest, FoldIsInvariantToOutcomePermutationModuloIds) {
   EXPECT_DOUBLE_EQ(alt.cut, base.cut);
 }
 
+TEST(PickFmWinnerTest, ZeroToleranceIdealLosesOnlyToFeasibleZeroCut) {
+  // The initial-trial stop test: {0, 0} fails to beat the best only when
+  // the best is feasible with a cut of at most zero.
+  const FmTrialOutcome ideal{};
+  EXPECT_FALSE(FmOutcomeBeats(ideal, {.violation = 0.0, .cut = 0.0}, 0.0));
+  EXPECT_FALSE(FmOutcomeBeats(ideal, {.violation = 0.0, .cut = -3.0}, 0.0));
+  EXPECT_TRUE(FmOutcomeBeats(ideal, {.violation = 0.0, .cut = 1e-15}, 0.0));
+  EXPECT_TRUE(FmOutcomeBeats(ideal, {.violation = 1e-15, .cut = 0.0}, 0.0));
+}
+
 TEST(BisectTest, MultiTrialRefinementNeverLosesToSingleTrial) {
   // Trial 0 replays the classic single-trial trajectory and the fold keeps
   // the best (violation, cut), so enabling trials can only improve the cut
@@ -484,6 +495,81 @@ TEST(BisectTest, MultiTrialRefinementNeverLosesToSingleTrial) {
   ASSERT_GE(multi.fm_trials, 2) << "default must exercise the trial fold";
   const Bisection best = Bisect(g, multi);
   EXPECT_LE(best.cut_weight, base.cut_weight + 1e-9);
+}
+
+// --- unbeatable-trial stop (DESIGN.md §11) ----------------------------------
+
+// `count` disjoint cliques of `size` unit-weight vertices, intra weight 10.
+Graph DisjointCliques(int count, int size) {
+  Graph g;
+  for (int i = 0; i < count * size; ++i) {
+    g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  }
+  for (int c = 0; c < count; ++c) {
+    for (int i = 0; i < size; ++i) {
+      for (int j = i + 1; j < size; ++j) {
+        g.AddEdge(c * size + i, c * size + j, 10.0);
+      }
+    }
+  }
+  return g;
+}
+
+struct CountedBisection {
+  Bisection bisection;
+  std::uint64_t cut_edges = 0;  // partition.cut_edges_evaluated delta
+};
+
+CountedBisection BisectCounted(const Graph& g, int initial_trials) {
+  auto& cut_edges = obs::MetricsRegistry::Global().GetCounter(
+      "partition.cut_edges_evaluated", obs::MetricKind::kDeterministic);
+  PartitionOptions opts;
+  opts.initial_trials = initial_trials;
+  const auto before = cut_edges.value();
+  CountedBisection out;
+  out.bisection = Bisect(g, opts);
+  out.cut_edges = cut_edges.value() - before;
+  return out;
+}
+
+TEST(UnbeatableTrialStop, FeasibleZeroCutEndsTheTrialsAfterTrialZero) {
+  // Trial 0 grows two whole cliques: balanced, cut 0. No later trial can
+  // beat that, so 8 allowed trials cost exactly what 1 does.
+  const Graph g = DisjointCliques(4, 6);
+  const auto one = BisectCounted(g, 1);
+  const auto eight = BisectCounted(g, 8);
+  EXPECT_EQ(eight.bisection.side, one.bisection.side);
+  EXPECT_EQ(eight.bisection.cut_weight, 0.0);
+  EXPECT_TRUE(eight.bisection.balanced);
+  EXPECT_GT(one.cut_edges, 0u);
+  EXPECT_EQ(eight.cut_edges, one.cut_edges);
+}
+
+TEST(UnbeatableTrialStop, NegativeArcRunsEveryTrial) {
+  // Merged into the weight-10 clique edge: one -5 anti-affinity arc makes
+  // a negative cut possible, so a zero cut is no longer unbeatable.
+  Graph g = DisjointCliques(4, 6);
+  g.AddEdge(0, 1, -15.0);
+  EXPECT_GT(BisectCounted(g, 8).cut_edges, BisectCounted(g, 1).cut_edges);
+}
+
+TEST(UnbeatableTrialStop, NoZeroCutRunsEveryTrial) {
+  const Graph g = Ring(40);
+  EXPECT_GT(BisectCounted(g, 8).cut_edges, BisectCounted(g, 1).cut_edges);
+}
+
+TEST(UnbeatableTrialStop, SaltReadingLevelsRunEveryTrial) {
+  // Large enough for multi-trial FM on the finest level, whose salt comes
+  // from the stream the skipped trials would have advanced: the stop must
+  // stay off even though a zero cut exists. The cliques are big enough to
+  // keep arcs on the coarsest level, so the trials show in the counter.
+  const Graph g = DisjointCliques(32, 128);
+  ASSERT_GE(g.num_vertices(), PartitionOptions{}.parallel_min_vertices);
+  ASSERT_GT(PartitionOptions{}.fm_trials, 1);
+  const auto one = BisectCounted(g, 1);
+  const auto eight = BisectCounted(g, 8);
+  EXPECT_EQ(eight.bisection.cut_weight, 0.0);
+  EXPECT_GT(eight.cut_edges, one.cut_edges);
 }
 
 }  // namespace
