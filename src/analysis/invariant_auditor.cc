@@ -194,6 +194,10 @@ void InvariantAuditor::AuditTopology(const Topology& topo,
         add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
                 "root node has a parent", {i});
       }
+      if (node.depth != 0) {
+        add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
+                "root depth is not 0", {i});
+      }
     } else {
       if (!node.parent.valid() || node.parent.value() >= n) {
         add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
@@ -204,6 +208,12 @@ void InvariantAuditor::AuditTopology(const Topology& topo,
       if (parent.level <= node.level) {
         add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
                 "child level is not below its parent's",
+                {i, node.parent.value()});
+      }
+      // Path walkers trust the stored depth to find the common ancestor.
+      if (node.depth != parent.depth + 1) {
+        add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
+                "depth is not its parent's depth + 1",
                 {i, node.parent.value()});
       }
       if (std::find(parent.children.begin(), parent.children.end(), id) ==

@@ -37,8 +37,9 @@
 //                     Negative *edge* weights are legal in the container
 //                     graph (replica anti-affinity) and gated by an option.
 //   topology        — single root, consistent parent/child links, levels
-//                     strictly decreasing toward the leaves, servers exactly
-//                     at level 0, finite non-negative capacities.
+//                     strictly decreasing toward the leaves, depths counting
+//                     links to the root, servers exactly at level 0, finite
+//                     non-negative capacities.
 //   power-model     — P(u) finite, non-negative, monotone non-decreasing in
 //                     utilization, and bounded by max_watts.
 #pragma once

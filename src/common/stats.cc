@@ -50,12 +50,17 @@ double Percentile(std::span<const double> xs, double p) {
   GOLDILOCKS_CHECK(p >= 0.0 && p <= 100.0);
   if (xs.empty()) return 0.0;
   std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
   const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, v.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
+  // nth_element puts the lo-th order statistic at v[lo] and every larger
+  // one after it, so the next order statistic is their minimum.
+  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), at_lo, v.end());
+  const double v_lo = *at_lo;
+  const double v_hi = lo + 1 < v.size() ? *std::min_element(at_lo + 1, v.end())
+                                        : v_lo;
+  return v_lo + (v_hi - v_lo) * frac;
 }
 
 double PearsonCorrelation(std::span<const double> xs,

@@ -33,7 +33,7 @@ class RunningStats {
 };
 
 // Percentile of a sample set with linear interpolation between order
-// statistics; p in [0, 100]. Copies and sorts internally.
+// statistics; p in [0, 100]. Copies and selects internally (O(n)).
 double Percentile(std::span<const double> xs, double p);
 
 // Pearson correlation coefficient of two equal-length series. Returns 0 for

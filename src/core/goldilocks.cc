@@ -15,6 +15,18 @@
 #include "obs/trace.h"
 
 namespace gl {
+
+// Flow adjacency over container ids in CSR form, used to compute how much of
+// a container's traffic leaves its group. Container c's peers are
+// peers[offsets[c] .. offsets[c + 1]) with positive flow weights in
+// `flows`, both in workload edge order.
+struct FlowAdjacency {
+  std::vector<std::size_t> offsets;
+  std::vector<int> peers;
+  std::vector<double> flows GL_UNITS(count);
+  std::vector<double> total_flows GL_UNITS(count);
+};
+
 namespace {
 
 obs::Counter& PeeCapRejections() {
@@ -47,24 +59,28 @@ std::uint64_t HashActiveMask(std::span<const std::uint8_t> active) {
   return h;
 }
 
-// Flow adjacency over container ids, used to compute how much of a
-// container's traffic leaves its group.
-struct FlowAdjacency {
-  // peers[c] = (peer container id, positive flow weight).
-  std::vector<std::vector<std::pair<int, double>>> peers;
-  std::vector<double> total_flows GL_UNITS(count);
-};
-
 FlowAdjacency BuildFlowAdjacency(const Workload& workload) {
+  const std::size_t n = workload.containers.size();
   FlowAdjacency adj;
-  adj.peers.resize(workload.containers.size());
-  adj.total_flows.assign(workload.containers.size(), 0.0);
+  adj.offsets.assign(n + 1, 0);
+  adj.total_flows.assign(n, 0.0);
+  for (const auto& e : workload.edges) {
+    if (e.flows <= 0.0) continue;
+    ++adj.offsets[static_cast<std::size_t>(e.a.value()) + 1];
+    ++adj.offsets[static_cast<std::size_t>(e.b.value()) + 1];
+  }
+  for (std::size_t c = 0; c < n; ++c) adj.offsets[c + 1] += adj.offsets[c];
+  adj.peers.resize(adj.offsets[n]);
+  adj.flows.resize(adj.offsets[n]);
+  std::vector<std::size_t> cursor(adj.offsets.begin(), adj.offsets.end() - 1);
   for (const auto& e : workload.edges) {
     if (e.flows <= 0.0) continue;
     const auto ia = static_cast<std::size_t>(e.a.value());
     const auto ib = static_cast<std::size_t>(e.b.value());
-    adj.peers[ia].emplace_back(e.b.value(), e.flows);
-    adj.peers[ib].emplace_back(e.a.value(), e.flows);
+    adj.peers[cursor[ia]] = e.b.value();
+    adj.flows[cursor[ia]++] = e.flows;
+    adj.peers[cursor[ib]] = e.a.value();
+    adj.flows[cursor[ib]++] = e.flows;
     adj.total_flows[ia] += e.flows;
     adj.total_flows[ib] += e.flows;
   }
@@ -112,8 +128,8 @@ Resource EffectiveGroupDemand(std::span<const ContainerId> members,
       continue;
     }
     double external GL_UNITS(count) = 0.0;
-    for (const auto& [peer, flows] : adj.peers[ci]) {
-      if (!stamp.Contains(peer)) external += flows;
+    for (std::size_t k = adj.offsets[ci]; k < adj.offsets[ci + 1]; ++k) {
+      if (!stamp.Contains(adj.peers[k])) external += adj.flows[k];
     }
     out.net_mbps += d.net_mbps * (external / total);
   }
@@ -155,11 +171,10 @@ std::uint64_t GoldilocksScheduler::StateDigest() const {
 }
 
 std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
-    const SchedulerInput& input) {
+    const SchedulerInput& input, const FlowAdjacency& adj) {
   const auto& topo = *input.topology;
   const Resource avg_cap = topo.average_server_capacity();
   const Resource ceiling = CeilingFor(avg_cap, opts_);
-  const FlowAdjacency adj = BuildFlowAdjacency(*input.workload);
   MembershipStamp stamp(input.workload->containers.size());
 
   // Reuse the cached grouping when the container universe is unchanged, the
@@ -486,13 +501,13 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
 
 Placement GoldilocksScheduler::AssignGroupsSymmetric(
     const SchedulerInput& input,
-    const std::vector<std::vector<ContainerId>>& groups) const {
+    const std::vector<std::vector<ContainerId>>& groups,
+    const FlowAdjacency& adj) const {
   const auto& topo = *input.topology;
   PackingState state(topo);
   Placement p;
   p.server_of.assign(input.workload->containers.size(), ServerId::invalid());
 
-  const FlowAdjacency adj = BuildFlowAdjacency(*input.workload);
   MembershipStamp stamp(input.workload->containers.size());
 
   std::vector<ServerId> server_order = topo.ServersUnder(topo.root());
@@ -650,7 +665,8 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
 
 Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   GOLDILOCKS_CHECK(input.workload != nullptr && input.topology != nullptr);
-  const auto groups = PartitionContainers(input);
+  const FlowAdjacency adj = BuildFlowAdjacency(*input.workload);
+  const auto groups = PartitionContainers(input, adj);
 
   // Record the grouping for inspection (Fig. 7).
   last_grouping_.assign(input.workload->containers.size(), -1);
@@ -674,7 +690,7 @@ Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   }
   obs::TraceSpan assign_span("goldilocks.assign_symmetric",
                              static_cast<std::int64_t>(groups.size()));
-  return AssignGroupsSymmetric(input, groups);
+  return AssignGroupsSymmetric(input, groups, adj);
 }
 
 }  // namespace gl

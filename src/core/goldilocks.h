@@ -29,6 +29,8 @@
 
 namespace gl {
 
+struct FlowAdjacency;  // container flow adjacency, built per Place()
+
 struct GoldilocksOptions {
   // Packing ceiling at the Peak Energy Efficiency point (CPU & network).
   double pee_utilization = 0.70;
@@ -90,11 +92,12 @@ class GoldilocksScheduler final : public Scheduler {
   // Returns groups as container-id lists, in the order they should be laid
   // onto servers.
   std::vector<std::vector<ContainerId>> PartitionContainers(
-      const SchedulerInput& input);
+      const SchedulerInput& input, const FlowAdjacency& adj);
 
   Placement AssignGroupsSymmetric(
       const SchedulerInput& input,
-      const std::vector<std::vector<ContainerId>>& groups) const;
+      const std::vector<std::vector<ContainerId>>& groups,
+      const FlowAdjacency& adj) const;
 
   std::string name_ = "Goldilocks";
   GoldilocksOptions opts_;

@@ -1,7 +1,6 @@
 #include "core/virtual_cluster.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -12,26 +11,36 @@ namespace gl {
 VirtualClusterPlacer::VirtualClusterPlacer(const Topology& topo,
                                            VirtualClusterOptions opts)
     : topo_(topo), opts_(opts) {
-  loads_.resize(static_cast<std::size_t>(topo.num_servers()));
-  p_sum_.assign(static_cast<std::size_t>(topo.num_nodes()), 0.0);
-  node_groups_.resize(static_cast<std::size_t>(topo.num_nodes()));
-}
-
-Resource VirtualClusterPlacer::Ceiling(ServerId s) const {
-  const Resource& cap = topo_.server_capacity(s);
-  return Resource{.cpu = cap.cpu * opts_.pee_utilization,
-                  .mem_gb = cap.mem_gb * opts_.memory_ceiling,
-                  .net_mbps = cap.net_mbps * opts_.pee_utilization};
+  const auto num_servers = static_cast<std::size_t>(topo.num_servers());
+  const auto num_nodes = static_cast<std::size_t>(topo.num_nodes());
+  loads_.resize(num_servers);
+  ceilings_.reserve(num_servers);
+  for (int s = 0; s < topo.num_servers(); ++s) {
+    const Resource& cap = topo.server_capacity(ServerId{s});
+    ceilings_.push_back(
+        Resource{.cpu = cap.cpu * opts_.pee_utilization,
+                 .mem_gb = cap.mem_gb * opts_.memory_ceiling,
+                 .net_mbps = cap.net_mbps * opts_.pee_utilization});
+  }
+  // At least levels 0 and 1: the split path walks the racks.
+  nodes_at_level_.resize(
+      static_cast<std::size_t>(std::max(topo.num_levels(), 2)));
+  for (int level = 1; level < topo.num_levels(); ++level) {
+    nodes_at_level_[static_cast<std::size_t>(level)] =
+        topo.NodesAtLevel(level);
+  }
+  fill_added_.resize(num_servers);
+  fill_mark_.assign(num_servers, 0);
+  p_sum_.assign(num_nodes, 0.0);
+  node_groups_.resize(num_nodes);
+  servers_under_.resize(num_nodes);
 }
 
 const std::vector<ServerId>& VirtualClusterPlacer::ServersCached(
     NodeId subtree) {
-  auto it = servers_cache_.find(subtree.value());
-  if (it == servers_cache_.end()) {
-    it = servers_cache_.emplace(subtree.value(),
-                                topo_.ServersUnder(subtree)).first;
-  }
-  return it->second;
+  auto& servers = servers_under_[static_cast<std::size_t>(subtree.value())];
+  if (servers.empty()) servers = topo_.ServersUnder(subtree);
+  return servers;
 }
 
 bool VirtualClusterPlacer::TryFill(std::span<const ContainerId> containers,
@@ -39,35 +48,43 @@ bool VirtualClusterPlacer::TryFill(std::span<const ContainerId> containers,
                                    NodeId subtree, Tentative& out) {
   out.assignment.clear();
   const auto& servers = ServersCached(subtree);
-  // Tentative additional load per server in this attempt.
-  std::unordered_map<int, Resource> added;
+  bool all_placed = true;
   for (const auto c : containers) {
     const auto& d = demands[static_cast<std::size_t>(c.value())];
     bool placed = false;
     for (const auto s : servers) {
-      Resource load = loads_[static_cast<std::size_t>(s.value())];
-      const auto it = added.find(s.value());
-      if (it != added.end()) load += it->second;
-      if ((load + d).FitsIn(Ceiling(s))) {
-        added[s.value()] += d;
+      const auto si = static_cast<std::size_t>(s.value());
+      Resource load = loads_[si];
+      if (fill_mark_[si]) load += fill_added_[si];
+      if ((load + d).FitsIn(ceilings_[si])) {
+        if (!fill_mark_[si]) {
+          fill_mark_[si] = 1;
+          fill_added_[si] = Resource{};
+          fill_touched_.push_back(s);
+        }
+        fill_added_[si] += d;
         out.assignment.emplace_back(c, s);
         placed = true;
         break;
       }
     }
-    if (!placed) return false;
+    if (!placed) {
+      all_placed = false;
+      break;
+    }
   }
-  return true;
+  for (const auto s : fill_touched_) {
+    fill_mark_[static_cast<std::size_t>(s.value())] = 0;
+  }
+  fill_touched_.clear();
+  return all_placed;
 }
 
 double VirtualClusterPlacer::ReservationWith(
-    NodeId n, int g_extra, const std::map<int, double>& delta,
+    NodeId n, int g_extra, double d_in GL_UNITS(bits_per_sec),
     double extra_total GL_UNITS(bits_per_sec)) const GL_UNITS(bits_per_sec) {
   const auto ni = static_cast<std::size_t>(n.value());
   // Updated aggregates if the tentative component lands.
-  const auto dit = delta.find(n.value());
-  const double d_in GL_UNITS(bits_per_sec) =
-      dit != delta.end() ? dit->second : 0.0;
   const bool extra_new = g_extra >= 0 && !group_touched_[
       static_cast<std::size_t>(g_extra)];
   const double p_sum GL_UNITS(bits_per_sec) = p_sum_[ni] + d_in;
@@ -111,24 +128,24 @@ double VirtualClusterPlacer::ReservationWith(
 bool VirtualClusterPlacer::BandwidthFeasible(
     int g, const Tentative& t, std::span<const Resource> demands) {
   // b_in deltas along every ancestor path of the tentative servers.
-  // Ordered so the per-node feasibility sweep below is deterministic.
-  std::map<int, double> delta GL_UNITS(bits_per_sec);
-  double extra_total GL_UNITS(bits_per_sec) =
+  const double extra_total GL_UNITS(bits_per_sec) =
       b_total_[static_cast<std::size_t>(g)];
+  delta_.Reset(static_cast<std::size_t>(topo_.num_nodes()));
   for (const auto& [c, s] : t.assignment) {
     const double bw GL_UNITS(bits_per_sec) =
         demands[static_cast<std::size_t>(c.value())].net_mbps;
     for (NodeId n = topo_.server_node(s); n.valid();
          n = topo_.node(n).parent) {
-      delta[n.value()] += bw;
+      delta_.Add(n.value(), bw);
     }
   }
-  for (const auto& [node_value, d_in] : delta) {
-    (void)d_in;
+  // Every affected uplink must stay feasible, so the verdict does not depend
+  // on the order the nodes are checked in.
+  for (const int node_value : delta_.touched()) {
     const NodeId n{node_value};
     if (!topo_.node(n).parent.valid()) continue;  // root has no uplink
     const double need GL_UNITS(bits_per_sec) =
-        ReservationWith(n, g, delta, extra_total);
+        ReservationWith(n, g, delta_.Get(node_value), extra_total);
     if (!WithinCap(need, topo_.uplink_capacity(n))) return false;
   }
   return true;
@@ -151,7 +168,15 @@ void VirtualClusterPlacer::Commit(int g, const Tentative& t,
     for (NodeId n = topo_.server_node(s); n.valid();
          n = topo_.node(n).parent) {
       const auto ni = static_cast<std::size_t>(n.value());
-      node_groups_[ni][g] += bw;
+      auto& entries = node_groups_[ni];
+      auto it = std::lower_bound(entries.begin(), entries.end(), g,
+                                 [](const std::pair<int, double>& e, int key) {
+                                   return e.first < key;
+                                 });
+      if (it == entries.end() || it->first != g) {
+        it = entries.insert(it, {g, 0.0});
+      }
+      it->second += bw;
       p_sum_[ni] += bw;
     }
   }
@@ -178,6 +203,7 @@ Placement VirtualClusterPlacer::PlaceGroups(
     pending_total_bw_ += b_total_[static_cast<std::size_t>(g)];
   }
 
+  Tentative t;  // reused by every probe
   for (int g = 0; g < num_groups; ++g) {
     const auto& group = groups[static_cast<std::size_t>(g)];
     if (group.empty()) continue;
@@ -186,8 +212,8 @@ Placement VirtualClusterPlacer::PlaceGroups(
     bool placed_whole = false;
     for (int level = 1; level < topo_.num_levels() && !placed_whole;
          ++level) {
-      for (const auto node : topo_.NodesAtLevel(level)) {
-        Tentative t;
+      for (const auto node :
+           nodes_at_level_[static_cast<std::size_t>(level)]) {
         if (!TryFill(group, demands, node, t)) continue;
         if (!BandwidthFeasible(g, t, demands)) continue;
         Commit(g, t, demands, placement);
@@ -204,13 +230,11 @@ Placement VirtualClusterPlacer::PlaceGroups(
     // rack; relax the bandwidth constraint only as a last resort (counted
     // as a violation — the paper grows the active set by a pod instead).
     ++stats_.groups_split;
-    const auto racks = topo_.NodesAtLevel(1);
     for (const auto c : group) {
       bool done = false;
       for (int pass = 0; pass < 2 && !done; ++pass) {
         const bool check_bw = pass == 0;
-        for (const auto rack : racks) {
-          Tentative t;
+        for (const auto rack : nodes_at_level_[1]) {
           const ContainerId one[] = {c};
           if (!TryFill(one, demands, rack, t)) continue;
           if (check_bw && !BandwidthFeasible(g, t, demands)) continue;
@@ -236,7 +260,7 @@ Placement VirtualClusterPlacer::PlaceGroups(
 }
 
 double VirtualClusterPlacer::ReservationOn(NodeId node) const {
-  return ReservationWith(node, -1, {}, 0.0);
+  return ReservationWith(node, -1, 0.0, 0.0);
 }
 
 }  // namespace gl

@@ -19,11 +19,10 @@
 // against each server's own capacity.
 #pragma once
 
-#include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "graph/scratch.h"
 #include "schedulers/placement.h"
 #include "workload/container.h"
 
@@ -61,20 +60,19 @@ class VirtualClusterPlacer {
     std::vector<std::pair<ContainerId, ServerId>> assignment;
   };
 
-  [[nodiscard]] Resource Ceiling(ServerId s) const;
   [[nodiscard]] const std::vector<ServerId>& ServersCached(NodeId subtree);
 
   // Greedy fill of `containers` into servers under `subtree`; returns true
-  // and the assignment if every container fits (capacity only).
+  // and the assignment if every container fits (capacity only). Allocates
+  // nothing once `out` has grown to the group size.
   bool TryFill(std::span<const ContainerId> containers,
                std::span<const Resource> demands, NodeId subtree,
                Tentative& out);
 
-  // Reservation Σ_g R_g(n) on node n's uplink, with optional tentative
-  // deltas applied for group `g_extra` (b_in delta per node). Ordered map
-  // for the same reason as node_groups_: deterministic summation order.
+  // Reservation Σ_g R_g(n) on node n's uplink, with a tentative b_in delta
+  // `d_in` applied to node n for group `g_extra` (-1 for none).
   [[nodiscard]] double ReservationWith(
-      NodeId n, int g_extra, const std::map<int, double>& delta,
+      NodeId n, int g_extra, double d_in GL_UNITS(bits_per_sec),
       double extra_total GL_UNITS(bits_per_sec)) const GL_UNITS(bits_per_sec);
 
   // True if committing `t` for group g keeps every affected uplink feasible.
@@ -88,7 +86,16 @@ class VirtualClusterPlacer {
   VirtualClusterOptions opts_;
   VirtualClusterStats stats_;
 
-  std::vector<Resource> loads_;  // per server
+  std::vector<Resource> loads_;     // per server
+  std::vector<Resource> ceilings_;  // per server: the PEE packing ceiling
+  // Switch nodes per level (index = level), left-to-right.
+  std::vector<std::vector<NodeId>> nodes_at_level_;
+  // TryFill scratch: tentative load per server of the current probe, valid
+  // where fill_mark_ is set; fill_touched_ lists the marked servers so each
+  // probe clears only what it used.
+  std::vector<Resource> fill_added_;
+  std::vector<std::uint8_t> fill_mark_;
+  std::vector<ServerId> fill_touched_;
   // Per group: total bandwidth Σ B_i of its members.
   std::vector<double> b_total_ GL_UNITS(bits_per_sec);
   std::vector<std::uint8_t> group_touched_;  // group has placed members
@@ -97,11 +104,15 @@ class VirtualClusterPlacer {
   double placed_total_bw_ GL_UNITS(bits_per_sec) = 0.0;
   // Per node: Σ placed b_in.
   std::vector<double> p_sum_ GL_UNITS(bits_per_sec);
-  // node → (group → b_in). Sparse: only nodes on ancestor paths appear.
-  // Ordered map: ReservationWith sums doubles over it, and floating-point
-  // summation order must not depend on hash buckets.
-  std::vector<std::map<int, double>> node_groups_;
-  std::unordered_map<int, std::vector<ServerId>> servers_cache_;
+  // node → (group, b_in) pairs in ascending group order. Sparse: only
+  // nodes on ancestor paths appear. ReservationWith sums doubles over it,
+  // so the order is fixed; groups are placed in ascending order, so Commit
+  // appends.
+  std::vector<std::vector<std::pair<int, double>>> node_groups_;
+  // BandwidthFeasible scratch: tentative b_in per node of one probe.
+  GroupAccumulator delta_;
+  // Per node: servers under it, filled on first use.
+  std::vector<std::vector<ServerId>> servers_under_;
 };
 
 }  // namespace gl

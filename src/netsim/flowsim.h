@@ -61,13 +61,15 @@ class FlowSimulator {
   // Mean/max completion time over all flows (after RunToCompletion).
   [[nodiscard]] double MeanFctMs() const;
 
+  // Directed links on the path of a flow, source side first: 2·node for a
+  // node's uplink bundle climbed toward the LCA, 2·node+1 for one descended
+  // toward the destination. Empty when src == dst.
+  [[nodiscard]] std::vector<int> Route(ServerId src, ServerId dst) const;
+
  private:
   // Directed capacity index: 2*node for "up", 2*node+1 for "down".
   [[nodiscard]] int UpIndex(NodeId n) const { return 2 * n.value(); }
   [[nodiscard]] int DownIndex(NodeId n) const { return 2 * n.value() + 1; }
-
-  // Links (directed indices) on the path of a flow.
-  [[nodiscard]] std::vector<int> Route(ServerId src, ServerId dst) const;
 
   // Max-min allocation over a subset of live flows (by index).
   void AllocateRates(const std::vector<int>& live);

@@ -47,38 +47,13 @@ TrafficEstimate EstimateTraffic(const Workload& workload,
     const double traffic = 0.5 * (share_a + share_b);
     out.edge_mbps[ei] = traffic;
 
-    const ServerId sa = placement.server_of[ia];
-    const ServerId sb = placement.server_of[ib];
-    if (sa == sb) continue;  // intra-server traffic never leaves the host
-
-    // Load every uplink bundle on the tree path (LCA walk).
-    NodeId na = topo.server_node(sa);
-    NodeId nb = topo.server_node(sb);
-    auto depth = [&](NodeId id) {
-      int d = 0;
-      for (NodeId cur = id; topo.node(cur).parent.valid();
-           cur = topo.node(cur).parent) {
-        ++d;
-      }
-      return d;
-    };
-    int da = depth(na), db = depth(nb);
-    while (da > db) {
-      out.node_uplink_mbps[static_cast<std::size_t>(na.value())] += traffic;
-      na = topo.node(na).parent;
-      --da;
-    }
-    while (db > da) {
-      out.node_uplink_mbps[static_cast<std::size_t>(nb.value())] += traffic;
-      nb = topo.node(nb).parent;
-      --db;
-    }
-    while (na != nb) {
-      out.node_uplink_mbps[static_cast<std::size_t>(na.value())] += traffic;
-      out.node_uplink_mbps[static_cast<std::size_t>(nb.value())] += traffic;
-      na = topo.node(na).parent;
-      nb = topo.node(nb).parent;
-    }
+    // Load every uplink bundle on the tree path (none when both ends share
+    // a server: intra-server traffic never leaves the host).
+    topo.ForEachPathUplink(
+        placement.server_of[ia], placement.server_of[ib],
+        [&](NodeId n, bool) {
+          out.node_uplink_mbps[static_cast<std::size_t>(n.value())] += traffic;
+        });
   }
   return out;
 }

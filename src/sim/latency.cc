@@ -48,15 +48,25 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
     if (!s.valid() || !active[i]) continue;
     cpu_load[static_cast<std::size_t>(s.value())] += demands[i].cpu;
   }
-  auto server_utilization = [&](ServerId s) {
+  std::vector<double> server_utilization GL_UNITS(dimensionless)(
+      static_cast<std::size_t>(num_servers));
+  for (int si = 0; si < num_servers; ++si) {
+    const ServerId s{si};
     const auto& cap = topo_.server_capacity(s);
     const double cpu_u =
-        cap.cpu > 0.0 ? cpu_load[static_cast<std::size_t>(s.value())] / cap.cpu
+        cap.cpu > 0.0 ? cpu_load[static_cast<std::size_t>(si)] / cap.cpu
                       : 0.0;
-    const NodeId leaf = topo_.server_node(s);
-    const double nic_u = traffic.UplinkUtilization(topo_, leaf);
-    return std::max(cpu_u, nic_u);
-  };
+    const double nic_u = traffic.UplinkUtilization(topo_, topo_.server_node(s));
+    server_utilization[static_cast<std::size_t>(si)] = std::max(cpu_u, nic_u);
+  }
+  // One-way latency of each node's uplink hop, inflated by its congestion.
+  std::vector<double> hop_ms GL_UNITS(ms)(
+      static_cast<std::size_t>(topo_.num_nodes()));
+  for (int n = 0; n < topo_.num_nodes(); ++n) {
+    hop_ms[static_cast<std::size_t>(n)] =
+        opts_.per_hop_ms *
+        CongestionFactor(traffic.UplinkUtilization(topo_, NodeId{n}));
+  }
 
   TctResult result;
   std::vector<double> samples GL_UNITS(ms);
@@ -75,43 +85,16 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
 
     const AppProfile& responder = GetAppProfile(workload.containers[ib].app);
     const double u GL_UNITS(dimensionless) =
-        std::max(server_utilization(sa), server_utilization(sb));
+        std::max(server_utilization[static_cast<std::size_t>(sa.value())],
+                 server_utilization[static_cast<std::size_t>(sb.value())]);
     double tct GL_UNITS(ms) = responder.base_service_ms * QueueFactor(u);
 
     // Network round trip: hop latency inflated by per-link congestion.
     if (sa != sb) {
-      NodeId na = topo_.server_node(sa);
-      NodeId nb = topo_.server_node(sb);
-      auto depth = [&](NodeId id) {
-        int d = 0;
-        for (NodeId cur = id; topo_.node(cur).parent.valid();
-             cur = topo_.node(cur).parent) {
-          ++d;
-        }
-        return d;
-      };
-      int da = depth(na), db = depth(nb);
       double one_way GL_UNITS(ms) = 0.0;
-      auto hop = [&](NodeId n) {
-        one_way += opts_.per_hop_ms *
-                   CongestionFactor(traffic.UplinkUtilization(topo_, n));
-      };
-      while (da > db) {
-        hop(na);
-        na = topo_.node(na).parent;
-        --da;
-      }
-      while (db > da) {
-        hop(nb);
-        nb = topo_.node(nb).parent;
-        --db;
-      }
-      while (na != nb) {
-        hop(na);
-        hop(nb);
-        na = topo_.node(na).parent;
-        nb = topo_.node(nb).parent;
-      }
+      topo_.ForEachPathUplink(sa, sb, [&](NodeId n, bool) {
+        one_way += hop_ms[static_cast<std::size_t>(n.value())];
+      });
       tct += 2.0 * one_way;
     }
 

@@ -16,9 +16,11 @@ NodeId Topology::AddSwitchNode(NodeId parent, int level, double uplink_mbps,
   n.physical_switches = physical_switches;
   n.physical_uplinks = physical_uplinks;
   if (parent.valid()) {
-    nodes_[CheckedNode(parent)].children.push_back(id);
-    GOLDILOCKS_CHECK_MSG(level < nodes_[CheckedNode(parent)].level,
+    Node& p = nodes_[CheckedNode(parent)];
+    p.children.push_back(id);
+    GOLDILOCKS_CHECK_MSG(level < p.level,
                          "child level must be below parent level");
+    n.depth = p.depth + 1;
   } else {
     GOLDILOCKS_CHECK_MSG(!root_.valid(), "topology already has a root");
     root_ = id;
@@ -39,7 +41,9 @@ ServerId Topology::AddServer(NodeId rack, const Resource& capacity) {
   n.uplink_capacity_mbps = capacity.net_mbps;
   n.physical_uplinks = 1;
   n.server = sid;
-  nodes_[CheckedNode(rack)].children.push_back(node_id);
+  Node& r = nodes_[CheckedNode(rack)];
+  r.children.push_back(node_id);
+  n.depth = r.depth + 1;
   nodes_.push_back(std::move(n));
   server_nodes_.push_back(node_id);
   server_capacity_.push_back(capacity);
@@ -167,36 +171,8 @@ Resource Topology::average_server_capacity() const {
 }
 
 int Topology::HopDistance(ServerId a, ServerId b) const {
-  if (a == b) return 0;
-  NodeId na = server_node(a);
-  NodeId nb = server_node(b);
-  int da = 0, db = 0;
-  // Levels are uniform per depth in our factories, but walk generically.
-  auto depth = [&](NodeId id) {
-    int d = 0;
-    for (NodeId cur = id; node(cur).parent.valid(); cur = node(cur).parent) {
-      ++d;
-    }
-    return d;
-  };
-  da = depth(na);
-  db = depth(nb);
   int hops = 0;
-  while (da > db) {
-    na = node(na).parent;
-    --da;
-    ++hops;
-  }
-  while (db > da) {
-    nb = node(nb).parent;
-    --db;
-    ++hops;
-  }
-  while (na != nb) {
-    na = node(na).parent;
-    nb = node(nb).parent;
-    hops += 2;
-  }
+  ForEachPathUplink(a, b, [&hops](NodeId, bool) { ++hops; });
   return hops;
 }
 

@@ -32,6 +32,7 @@ class Topology {
     NodeId parent = NodeId::invalid();
     std::vector<NodeId> children;
     int level = 0;  // 0 = server; increases toward the root
+    int depth = 0;  // links to the root (0 for the root), set when added
     // Aggregate capacity of all physical uplinks toward the parent (Mbps).
     double uplink_capacity_mbps GL_UNITS(bits_per_sec) = 0.0;
     // Bandwidth currently reserved on that uplink by placed Virtual Clusters.
@@ -126,6 +127,38 @@ class Topology {
 
   // Number of links on the shortest path between two servers (0 if equal).
   [[nodiscard]] int HopDistance(ServerId a, ServerId b) const;
+
+  // Visits every node whose uplink bundle the tree path between two
+  // servers crosses, calling fn(node, from_a) with from_a true on a's side
+  // of the lowest common ancestor. The order is fixed, and callers that sum
+  // floating-point values along the path rely on it: a's side climbs while
+  // it is deeper, then b's side while it is deeper, then the two sides
+  // alternately (a first) until they meet. Equal servers visit nothing.
+  template <typename Fn>
+  void ForEachPathUplink(ServerId a, ServerId b, Fn&& fn) const {
+    NodeId na = server_node(a);
+    NodeId nb = server_node(b);
+    const Node* pa = &nodes_[CheckedNode(na)];
+    const Node* pb = &nodes_[CheckedNode(nb)];
+    while (pa->depth > pb->depth) {
+      fn(na, true);
+      na = pa->parent;
+      pa = &nodes_[CheckedNode(na)];
+    }
+    while (pb->depth > pa->depth) {
+      fn(nb, false);
+      nb = pb->parent;
+      pb = &nodes_[CheckedNode(nb)];
+    }
+    while (na != nb) {
+      fn(na, true);
+      fn(nb, false);
+      na = pa->parent;
+      nb = pb->parent;
+      pa = &nodes_[CheckedNode(na)];
+      pb = &nodes_[CheckedNode(nb)];
+    }
+  }
 
   // Servers under a subtree in left-to-right (locality) order.
   [[nodiscard]] std::vector<ServerId> ServersUnder(NodeId subtree) const;

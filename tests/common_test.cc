@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.h"
@@ -335,6 +338,36 @@ TEST(Percentile, Interpolates) {
 
 TEST(Percentile, EmptyReturnsZero) {
   EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
+}
+
+// Percentile selects instead of sorting; on shuffled input with duplicates
+// it must return exactly what the sort-based definition does.
+double SortedPercentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] + (v[hi] - v[lo]) * frac;
+}
+
+TEST(Percentile, SelectionMatchesSortOnShuffledDuplicates) {
+  Rng rng(0x9e7c);
+  for (const std::size_t n : {1u, 2u, 3u, 1000u}) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Few distinct values so most order statistics are tied.
+      xs.push_back(static_cast<double>(rng.NextBelow(n / 4 + 2)) * 0.37);
+    }
+    for (std::size_t i = xs.size(); i > 1; --i) {
+      std::swap(xs[i - 1], xs[rng.NextBelow(i)]);
+    }
+    for (const double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(Percentile(xs, p)),
+                std::bit_cast<std::uint64_t>(SortedPercentile(xs, p)))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(Pearson, PerfectCorrelation) {

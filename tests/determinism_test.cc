@@ -4,6 +4,8 @@
 // produce bit-identical per-epoch state-hash streams.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -16,6 +18,7 @@
 #include "common/stable_map.h"
 #include "common/state_hash.h"
 #include "core/epoch_controller.h"
+#include "core/goldilocks.h"
 #include "core/scheduler_factory.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
@@ -154,14 +157,19 @@ TEST(ResourceEps, ApproxEqIsSymmetricAndScaled) {
 
 // --- golden seed replay -------------------------------------------------------
 
+ExperimentResult RunRecorded(Scheduler& scheduler, const Scenario& scenario,
+                             const Topology& topo) {
+  RunnerOptions opts;
+  opts.record_state_hashes = true;
+  const ExperimentRunner runner(scenario, topo, opts);
+  return runner.Run(scheduler);
+}
+
 std::vector<EpochStateHash> RunHashed(const std::string& name,
                                       const Scenario& scenario,
                                       const Topology& topo) {
   auto scheduler = MakeNamedScheduler(name, 0.70, 0xfeed);
-  RunnerOptions opts;
-  opts.record_state_hashes = true;
-  const ExperimentRunner runner(scenario, topo, opts);
-  return runner.Run(*scheduler).state_hashes;
+  return RunRecorded(*scheduler, scenario, topo).state_hashes;
 }
 
 TEST(SeedReplay, AllSchedulersBitIdenticalAcrossRuns) {
@@ -267,6 +275,143 @@ TEST(SeedReplay, GoldilocksTwitterMatchesPinnedDigests) {
   sopts.num_epochs = 12;
   ExpectPinnedDigests(*MakeTwitterCachingScenario(sopts),
                       kGoldilocksTwitterDigests);
+}
+
+// A reduced vc_reuse shape (epochbench): MSR containers on an 8-ary fat
+// tree of R940-class servers, every 4th server half-size, every 4th pod
+// uplink at 25%, placed by the Virtual Cluster placer with incremental
+// repair every 4th epoch.
+Topology VcReuseTopology() {
+  const Resource r940{.cpu = 7200, .mem_gb = 1536, .net_mbps = 10000};
+  Topology topo = Topology::FatTree(8, r940, 10000.0);
+  for (int s = 0; s < topo.num_servers(); s += 4) {
+    topo.set_server_capacity(ServerId{s}, r940 * 0.5);
+  }
+  const auto pods = topo.NodesAtLevel(2);
+  for (std::size_t p = 0; p < pods.size(); p += 4) {
+    topo.DegradeUplink(pods[p], 0.25);
+  }
+  return topo;
+}
+
+ExperimentResult RunVcReuse() {
+  MsrScenarioOptions sopts;
+  sopts.per_vertex = 4;
+  sopts.trace_vertices = 128;
+  sopts.num_epochs = 12;
+  sopts.epoch_minutes = 120.0;
+  const auto scenario = MakeMsrLargeScaleScenario(sopts);
+  GoldilocksOptions gopts;
+  gopts.use_virtual_clusters = true;
+  gopts.incremental_repartition = true;
+  gopts.repartition_interval = 4;
+  GoldilocksScheduler scheduler(gopts);
+  return RunRecorded(scheduler, *scenario, VcReuseTopology());
+}
+
+// Per-epoch Combined() digests of RunVcReuse, recorded at commit 10ec97e.
+constexpr std::uint64_t kGoldilocksVcReuseDigests[] = {
+    0x3b6d5af30ab119c3ull, 0x7a28975667537f13ull, 0x609c2fca19e07385ull,
+    0x856c2f6e57c5f5aaull, 0xf85fee9fe3e2b035ull, 0xfc98dd7c9e7b3e4cull,
+    0x8b5d1982f48d717dull, 0xfadb6623313fdb32ull, 0xcc6a5ac9faddd0aeull,
+    0x91cf0f500b14b17full, 0x66116285d009ab94ull, 0xfc8692d4f704d13cull,
+};
+
+TEST(SeedReplay, GoldilocksVcReuseMatchesPinnedDigests) {
+  const auto hashes = RunVcReuse().state_hashes;
+  ASSERT_EQ(hashes.size(), std::size(kGoldilocksVcReuseDigests));
+  for (std::size_t e = 0; e < hashes.size(); ++e) {
+    EXPECT_EQ(hashes[e].Combined(), kGoldilocksVcReuseDigests[e])
+        << "epoch " << e << ": 0x" << std::hex << hashes[e].Combined();
+  }
+}
+
+// EpochStateHash covers placements, loads, power and migrations but not the
+// latency model, so the TCT outputs are pinned bit for bit on their own:
+// {mean_tct_ms, p99_tct_ms, sla_violation_rate, network_watts} per epoch,
+// recorded at commit 10ec97e.
+using MetricBits = std::array<std::uint64_t, 4>;
+
+void ExpectPinnedMetricBits(const ExperimentResult& result,
+                            std::span<const MetricBits> pinned) {
+  ASSERT_EQ(result.epochs.size(), pinned.size());
+  for (std::size_t e = 0; e < pinned.size(); ++e) {
+    const EpochMetrics& m = result.epochs[e];
+    const MetricBits bits = {std::bit_cast<std::uint64_t>(m.mean_tct_ms),
+                             std::bit_cast<std::uint64_t>(m.p99_tct_ms),
+                             std::bit_cast<std::uint64_t>(m.sla_violation_rate),
+                             std::bit_cast<std::uint64_t>(m.network_watts)};
+    EXPECT_EQ(bits, pinned[e])
+        << "epoch " << e << std::hex << ": {0x" << bits[0] << ", 0x"
+        << bits[1] << ", 0x" << bits[2] << ", 0x" << bits[3] << "}";
+  }
+}
+
+constexpr MetricBits kVcReuseTctBits[] = {
+    {0x404b884daa3ec479ull, 0x404d8747e1691ba3ull,
+     0x3ff0000000000000ull, 0x4091500000000000ull},
+    {0x404bdd13648cbfc1ull, 0x404df4503d973fbcull,
+     0x3fefeacba6c3b322ull, 0x4091200000000000ull},
+    {0x404bb5110e832217ull, 0x404de0c177de7f1dull,
+     0x3ff0000000000000ull, 0x4091200000000000ull},
+    {0x404baa47048e2311ull, 0x404ddef3bbea35f6ull,
+     0x3ff0000000000000ull, 0x4091500000000000ull},
+    {0x404badb7c4d8c778ull, 0x404dc7bdbac6edb5ull,
+     0x3fef95fa41d27fabull, 0x4096200000000000ull},
+    {0x404c4ede2b8e6928ull, 0x404eae2240d6c837ull,
+     0x3fefdca8c09b7fe4ull, 0x4098d00000000000ull},
+    {0x404c2be2da2b7265ull, 0x404ec90d49f62e58ull,
+     0x3feff8ee8cebe661ull, 0x409b200000000000ull},
+    {0x404c2d2bc86bbaacull, 0x404ec1ed10f31885ull,
+     0x3feff8ee8cebe661ull, 0x4098a00000000000ull},
+    {0x404ba798891199deull, 0x404ebf345436de91ull,
+     0x3fefce85da734ca5ull, 0x4096800000000000ull},
+    {0x404b733b6de55e6aull, 0x404e35314317038full,
+     0x3fefab2e9b0ecc89ull, 0x4098d00000000000ull},
+    {0x404ae7f04eecb025ull, 0x404e8872b793fc0full,
+     0x3fef80c5e89632cdull, 0x4098a00000000000ull},
+    {0x404b930b41e57a1dull, 0x404ebed362664bcfull,
+     0x3fefc062f44b1967ull, 0x4096800000000000ull},
+};
+constexpr MetricBits kAzureTctBits[] = {
+    {0x3ff41a48e829ad46ull, 0x3ffd913aafd30ff0ull,
+     0x0ull, 0x4091200000000000ull},
+    {0x3ff04501f5cfe980ull, 0x3ff1aa8e36e39bdcull,
+     0x0ull, 0x4091200000000000ull},
+    {0x3fecd7dec8343876ull, 0x3ff3121ad125be67ull,
+     0x0ull, 0x4094000000000000ull},
+    {0x3ff1960fb1b38834ull, 0x3ff274150e779b22ull,
+     0x0ull, 0x4091200000000000ull},
+    {0x3fefdc68c3fe024full, 0x3ff27efd1e19f650ull,
+     0x0ull, 0x4091800000000000ull},
+    {0x3ff0efbf359b9dc9ull, 0x3ff41ba96e9ce728ull,
+     0x0ull, 0x4093a00000000000ull},
+    {0x3fedaddccc80ed8aull, 0x3ff2d261cdc7bf87ull,
+     0x0ull, 0x4096800000000000ull},
+    {0x3ff3639562d1ebe8ull, 0x400038acb103ac35ull,
+     0x0ull, 0x4096800000000000ull},
+    {0x3fef47bdd303a16full, 0x3ff371092498fe1eull,
+     0x0ull, 0x4096800000000000ull},
+    {0x3ff1a5b0ad2430a9ull, 0x3ffc3da628bdde54ull,
+     0x0ull, 0x4096200000000000ull},
+    {0x3fefb87f6174aecbull, 0x3ff228648e82bb8full,
+     0x0ull, 0x4096200000000000ull},
+    {0x3ff0a36c58f31b03ull, 0x3ff84fdd7b7c8bb2ull,
+     0x0ull, 0x4094000000000000ull},
+};
+
+TEST(SeedReplay, GoldilocksVcReuseTctMatchesPinnedBits) {
+  ExpectPinnedMetricBits(RunVcReuse(), kVcReuseTctBits);
+}
+
+TEST(SeedReplay, GoldilocksAzureMixTctMatchesPinnedBits) {
+  AzureScenarioOptions sopts;
+  sopts.num_epochs = 12;
+  auto scheduler = MakeNamedScheduler("goldilocks", 0.70, 0xfeed);
+  ExpectPinnedMetricBits(
+      RunRecorded(*scheduler, *MakeAzureMixScenario(sopts),
+                  Topology::Testbed16()),
+      kAzureTctBits);
 }
 
 TEST(SeedReplay, HashesOffByDefault) {

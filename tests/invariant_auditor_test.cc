@@ -4,7 +4,9 @@
 // every invariant class the auditor claims to check is actually detected
 // when that class is violated on purpose. Each corruption is injected
 // through public mutation APIs (placement vectors, Topology::Reserve /
-// set_server_capacity, Graph::AddEdge, custom power curves); graph
+// set_server_capacity, Graph::AddEdge, custom power curves), except a node's
+// stored depth, which no API can desynchronize: it is overwritten through
+// the node reference, standing in for memory corruption. Graph
 // self-loops and asymmetric adjacency cannot be constructed through the
 // Graph API (AddEdge is symmetric and drops self-loops), so those auditor
 // checks are defense-in-depth and not exercised here.
@@ -262,6 +264,12 @@ TEST(InvariantAuditor, DetectsGraphCorruption) {
   EXPECT_TRUE(r3.Has(AuditClass::kGraph)) << r3.ToString();
 }
 
+// Overwrites a node's cached depth; the object is non-const, so writing
+// through the const_cast reference is well-defined.
+void CorruptDepth(Topology& topo, NodeId id, int delta) {
+  const_cast<Topology::Node&>(topo.node(id)).depth += delta;
+}
+
 TEST(InvariantAuditor, DetectsTopologyCorruption) {
   const InvariantAuditor auditor;
 
@@ -279,6 +287,12 @@ TEST(InvariantAuditor, DetectsTopologyCorruption) {
   AuditReport r2;
   auditor.AuditTopology(negative_uplink, r2);
   EXPECT_TRUE(r2.Has(AuditClass::kTopology)) << r2.ToString();
+
+  Topology root_depth = Topology::Testbed16();
+  CorruptDepth(root_depth, root_depth.root(), 1);
+  AuditReport r3;
+  auditor.AuditTopology(root_depth, r3);
+  EXPECT_TRUE(r3.Has(AuditClass::kTopology)) << r3.ToString();
 }
 
 TEST(InvariantAuditor, ShippedPowerModelsAreClean) {
@@ -353,7 +367,7 @@ TEST(InvariantAuditorProperty, RandomCorruptionsAreAlwaysCaught) {
     const AuditReport clean = auditor.AuditAll(ViewOf(st));
     ASSERT_EQ(clean.errors(), 0) << clean.ToString();
 
-    const auto pick = static_cast<int>(rng.NextBelow(5));
+    const auto pick = static_cast<int>(rng.NextBelow(6));
     AuditClass expected = AuditClass::kConservation;
     switch (pick) {
       case 0: {  // out-of-range server
@@ -387,6 +401,13 @@ TEST(InvariantAuditorProperty, RandomCorruptionsAreAlwaysCaught) {
         st.topo.Reserve(leaf, st.topo.uplink_capacity(leaf) +
                                   rng.Uniform(1.0, 1000.0));
         expected = AuditClass::kBandwidth;
+        break;
+      }
+      case 5: {  // stale cached depth
+        const NodeId n{static_cast<int>(
+            rng.NextBelow(static_cast<std::uint64_t>(st.topo.num_nodes())))};
+        CorruptDepth(st.topo, n, rng.NextBelow(2) == 0 ? -1 : 1);
+        expected = AuditClass::kTopology;
         break;
       }
     }
