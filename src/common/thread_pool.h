@@ -26,8 +26,8 @@
 // picking up unrelated work that would delay its return, and bounds the
 // stack by the nesting depth.
 //
-// This file is the sanctioned home for raw std::thread (gl_lint GL006):
-// everything else fans out through a ThreadPool.
+// This file is the sanctioned home for raw std::thread (gl_analyze GL006,
+// blessed in the baseline): everything else fans out through a ThreadPool.
 //
 // The pool also keeps per-worker utilization telemetry (busy / queue-wait /
 // batch wall), aggregated under the pool mutex and exposed via Stats().

@@ -4,8 +4,9 @@
 // that feeds a seed or a decision makes the run unreplayable. But a system
 // that is meant to run "as fast as the hardware allows" still has to be
 // *measured*, and measurement needs a clock. This header is the compromise:
-// the one place raw std::chrono::steady_clock may be touched (gl_lint GL009
-// flags it anywhere else), exporting timer types whose values are
+// the one place raw std::chrono::steady_clock may be touched (gl_analyze
+// GL009 flags it anywhere else; the baseline blesses it here), exporting
+// timer types whose values are
 // informational only — they may be printed, logged and plotted, but must
 // never feed simulation state, seeds, or the §8 state hashes.
 #pragma once

@@ -128,13 +128,6 @@ const std::unordered_set<std::string_view> kIterCalls = {
 const std::unordered_set<std::string_view> kViewCalls = {"front", "back",
                                                          "at"};
 
-// Thread-varying condition sources for GL021 (superset of the GL016 taint
-// callees: a branch on any of these diverges across workers).
-const std::unordered_set<std::string_view> kVaryingCallees = {
-    "rand", "random", "drand48", "lrand48", "mrand48", "random_device",
-    "now", "time", "clock", "gettimeofday", "clock_gettime", "getpid",
-    "MonotonicMicros", "ElapsedMs", "ElapsedUs"};
-
 // Deterministic-state sinks (mirrors dataflow.cc's kTaintSinkCallees; the
 // Mix* family is matched by prefix so new mixers stay covered).
 const std::unordered_set<std::string_view> kSinkCallees = {"HashAssignment",
@@ -357,7 +350,9 @@ struct Builder {
         return true;
       }
       if (!t.IsIdent(k) || !t.is(k + 1, "(")) continue;
-      if (kVaryingCallees.count(id) || id.starts_with("Elapsed")) return true;
+      // Thread-varying condition sources: the GL016 taint sources, plus
+      // every Elapsed* reader.
+      if (IsTaintSourceCallee(id) || id.starts_with("Elapsed")) return true;
     }
     return false;
   }

@@ -102,12 +102,6 @@ const std::unordered_set<std::string_view> kPassthroughCallees = {
     "max", "min", "clamp", "abs", "fabs", "floor", "ceil", "round",
     "move", "nextafter"};
 
-// Callees whose return value is nondeterministic across runs.
-const std::unordered_set<std::string_view> kTaintSourceCallees = {
-    "rand", "random", "drand48", "lrand48", "mrand48", "random_device",
-    "now", "time", "clock", "gettimeofday", "clock_gettime", "getpid",
-    "MonotonicMicros", "ElapsedMs", "ElapsedUs"};
-
 // Callees that feed the determinism contract (DESIGN.md §8): state-hash
 // mixers and deterministic decision counters.
 const std::unordered_set<std::string_view> kTaintSinkCallees = {
@@ -176,6 +170,7 @@ bool Join(Val* into, const Val& from) {
 struct Engine {
   const std::vector<FileFacts>& files;
   const SymbolIndex& index;
+  const LoopOrders& loop_orders;
 
   // Declared member dims: "Class::field" -> dim, plus field -> classes.
   std::map<std::string, Dim> member_dims;
@@ -333,12 +328,16 @@ struct Engine {
         if (d.ret_units == "any") poly.insert(RetKey({fi, gi}));
         else SeedDim(RetKey({fi, gi}), DimFromString(d.ret_units));
       }
-      for (const TaintSeed& sd : f.taint_seeds) {
-        const std::string node = NodeOf(fi, sd.func, sd.term);
-        if (node.empty()) continue;
-        Join(&vals[node],
-             Val{Dim::kUnknown, true,
-                 sd.kind + " at " + f.path + ":" + std::to_string(sd.line)});
+      // Loop variables of loops over order-sensitive containers.
+      const std::vector<std::string_view>& orders =
+          loop_orders[static_cast<std::size_t>(fi)];
+      for (std::size_t li = 0; li < f.loops.size(); ++li) {
+        const RangeLoop& loop = f.loops[li];
+        const std::string node = NodeOf(fi, loop.func, loop.var);
+        if (node.empty() || orders[li].empty()) continue;
+        Join(&vals[node], Val{Dim::kUnknown, true,
+                              std::string(orders[li]) + " at " + f.path +
+                                  ":" + std::to_string(loop.line)});
       }
 
       // Flow edges.
@@ -372,7 +371,7 @@ struct Engine {
         if (c.func < 0) continue;
         const std::string key = CallKey(
             fi, c.func, c.callee + "@" + std::to_string(c.line));
-        if (kTaintSourceCallees.count(c.callee)) {
+        if (IsTaintSourceCallee(c.callee)) {
           Join(&vals[key],
                Val{Dim::kUnknown, true,
                    c.callee + "() at " + f.path + ":" +
@@ -600,7 +599,7 @@ struct LockGraph {
 void AnalyzeLockOrder(const std::vector<FileFacts>& files,
                       const SymbolIndex& index, std::vector<Finding>* out) {
   // Direct per-function acquisitions (sites + GL_ACQUIRE annotations).
-  std::unordered_map<FuncRef, std::vector<LockSite>, FuncRefHash> direct;
+  std::map<FuncRef, std::vector<LockSite>> direct;
   for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
     const FileFacts& f = files[static_cast<std::size_t>(fi)];
     for (const LockAcquire& l : f.lock_acquires) {
@@ -805,10 +804,59 @@ void AnalyzeLockOrder(const std::vector<FileFacts>& files,
 
 }  // namespace
 
+LoopOrders ResolveLoopOrders(const std::vector<FileFacts>& files) {
+  // Order bits per declared name: 1 unordered, 2 pointer-keyed. Keys are
+  // shape + name for members, namespace scope and functions, and
+  // "file|func|" + shape + name for a function's locals and parameters.
+  std::map<std::string, int> bits;
+  const auto local = [](int file, int func, char shape,
+                        const std::string& name) {
+    return std::to_string(file) + "|" + std::to_string(func) + "|" + shape +
+           name;
+  };
+  const auto lookup = [&](int file, int func, char shape,
+                          const std::string& name, bool member) {
+    const auto g = bits.find(shape + name);
+    const auto l =
+        member ? bits.end() : bits.find(local(file, func, shape, name));
+    return (g == bits.end() ? 0 : g->second) |
+           (l == bits.end() ? 0 : l->second);
+  };
+  for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
+    for (const ContainerDecl& d :
+         files[static_cast<std::size_t>(fi)].containers) {
+      if (d.name.empty()) continue;
+      const std::string key =
+          d.func < 0 ? d.shape + d.name : local(fi, d.func, d.shape, d.name);
+      bits[key] |= (d.unordered ? 1 : 0) | (d.pointer_key ? 2 : 0);
+    }
+  }
+  // A local assigned from a call to a function returning an unordered
+  // container (`const auto groups = Neighbors();`) is one too.
+  for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
+    for (const UnitAssign& a : files[static_cast<std::size_t>(fi)].assigns) {
+      if (!a.lhs.starts_with("v:") || !a.rhs.starts_with("c:")) continue;
+      const int b = lookup(fi, a.func, 'f', CalleeOf(a.rhs), false);
+      if (b != 0) bits[local(fi, a.func, 'v', a.lhs.substr(2))] |= b;
+    }
+  }
+  LoopOrders orders(files.size());
+  for (std::size_t fi = 0; fi < files.size(); ++fi) {
+    for (const RangeLoop& loop : files[fi].loops) {
+      const int b = lookup(static_cast<int>(fi), loop.func, loop.shape,
+                           loop.container, loop.member);
+      orders[fi].push_back((b & 1) != 0   ? "unordered-iter"
+                           : (b & 2) != 0 ? "pointer-key"
+                                          : "");
+    }
+  }
+  return orders;
+}
+
 void AnalyzeDataflow(const std::vector<FileFacts>& files,
-                     const SymbolIndex& index, std::vector<Finding>* out,
-                     UnitsReport* units) {
-  Engine engine{files, index, {}, {}, {}, {}, {}, {}, {}};
+                     const SymbolIndex& index, const LoopOrders& loop_orders,
+                     std::vector<Finding>* out, UnitsReport* units) {
+  Engine engine{files, index, loop_orders, {}, {}, {}, {}, {}, {}, {}};
   engine.Build();
   engine.Fixpoint();
   engine.Check(out, units);

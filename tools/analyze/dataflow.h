@@ -20,7 +20,8 @@
 //                            cycle is a potential deadlock, reported with
 //                            both acquisition chains.
 //   GL016 determinism-taint  nondeterminism sources (clock and rand
-//                            calls, unordered/pointer-keyed iteration)
+//                            calls, facts.h NondetSource; loops over
+//                            unordered/pointer-keyed containers)
 //                            propagate interprocedurally; any tainted term
 //                            reaching a state-hash or deterministic-counter
 //                            sink is flagged with its origin.
@@ -32,6 +33,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +49,9 @@ struct FuncRef {
   int func = -1;
   bool operator==(const FuncRef& o) const {
     return file == o.file && func == o.func;
+  }
+  bool operator<(const FuncRef& o) const {
+    return file != o.file ? file < o.file : func < o.func;
   }
 };
 struct FuncRefHash {
@@ -114,10 +119,20 @@ struct UnitsReport {
   std::vector<FileEntry> files;  // sorted by path
 };
 
+// Iteration-order kind of every RangeLoop, indexed [file][loop]:
+// "unordered-iter", "pointer-key", or "" for an ordered container. A loop's
+// container resolves against the ContainerDecl names of every file — the
+// enclosing function's own locals and parameters first, then members,
+// namespace-scope names and functions — plus locals assigned from a call to
+// a function returning an unordered container. GL001 reports the unordered
+// loops; GL016 seeds both kinds' loop variables.
+using LoopOrders = std::vector<std::vector<std::string_view>>;
+[[nodiscard]] LoopOrders ResolveLoopOrders(const std::vector<FileFacts>& files);
+
 // Runs the dataflow fixpoint and appends GL014/GL015/GL016 findings.
 // `units` may be null when the caller does not need the report.
 void AnalyzeDataflow(const std::vector<FileFacts>& files,
-                     const SymbolIndex& index, std::vector<Finding>* out,
-                     UnitsReport* units);
+                     const SymbolIndex& index, const LoopOrders& loop_orders,
+                     std::vector<Finding>* out, UnitsReport* units);
 
 }  // namespace gl::analyze

@@ -100,10 +100,88 @@ const std::unordered_set<std::string_view> kIntTypes = {
     "int8_t", "int16_t", "int32_t", "int64_t", "uint8_t", "uint16_t",
     "uint32_t", "uint64_t"};
 
-// Containers whose iteration order is nondeterministic (GL016 seeds).
+// Containers whose iteration order is nondeterministic (GL001/GL016).
 const std::unordered_set<std::string_view> kUnorderedContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
     "unordered_multiset"};
+
+// Ordered associative containers: order-sensitive only when pointer-keyed
+// (GL004), because then the order follows allocation addresses.
+const std::unordered_set<std::string_view> kOrderedAssoc = {
+    "map", "set", "multimap", "multiset"};
+
+// Sequence containers whose elements may be unordered containers
+// (`std::vector<std::unordered_map<...>> votes`, iterated as votes[i]).
+const std::unordered_set<std::string_view> kElementContainers = {
+    "vector", "array", "deque"};
+
+// Resource fields that accumulate floating-point error (GL005).
+const std::unordered_set<std::string_view> kResourceFields = {
+    "cpu", "mem_gb", "net_mbps"};
+
+// Namespace-scope statements that declare something other than a variable.
+const std::unordered_set<std::string_view> kNonVariableLeads = {
+    "using", "typedef", "extern", "template", "static_assert", "friend",
+    "class", "struct", "enum", "union", "namespace", "concept", "requires"};
+
+// Nondeterminism sources (facts.h IsTaintSourceCallee). kTimer names the
+// sanctioned obs/clock.h readers: taint sources, never pattern findings.
+enum class Nondet { kRng, kTime, kRawClock, kTimer };
+
+// How a nondeterminism-source identifier must appear to be a pattern hit.
+enum class NondetShape {
+  kAny,         // any use: type names and functions nobody else declares
+  kCall,        // non-member call: srand(...), getpid()
+  kNullary,     // non-member call with no (or a null) argument: rand()
+  kStaticCall,  // qualified call: Clock::now()
+  kTemplate,    // template-id: std::uniform_int_distribution<int>
+};
+
+struct NondetToken {
+  std::string_view ident;
+  Nondet kind;
+  NondetShape shape;
+};
+
+constexpr NondetToken kNondetTokens[] = {
+    {"rand", Nondet::kRng, NondetShape::kNullary},
+    {"random", Nondet::kRng, NondetShape::kNullary},
+    {"srand", Nondet::kRng, NondetShape::kCall},
+    {"drand48", Nondet::kRng, NondetShape::kAny},
+    {"lrand48", Nondet::kRng, NondetShape::kAny},
+    {"mrand48", Nondet::kRng, NondetShape::kAny},
+    {"random_device", Nondet::kRng, NondetShape::kAny},
+    {"random_shuffle", Nondet::kRng, NondetShape::kAny},
+    {"mt19937", Nondet::kRng, NondetShape::kAny},
+    {"mt19937_64", Nondet::kRng, NondetShape::kAny},
+    {"minstd_rand", Nondet::kRng, NondetShape::kAny},
+    {"minstd_rand0", Nondet::kRng, NondetShape::kAny},
+    {"default_random_engine", Nondet::kRng, NondetShape::kAny},
+    {"ranlux24", Nondet::kRng, NondetShape::kAny},
+    {"ranlux48", Nondet::kRng, NondetShape::kAny},
+    {"time", Nondet::kTime, NondetShape::kNullary},
+    {"clock", Nondet::kTime, NondetShape::kNullary},
+    {"now", Nondet::kTime, NondetShape::kStaticCall},
+    {"gettimeofday", Nondet::kTime, NondetShape::kAny},
+    {"clock_gettime", Nondet::kTime, NondetShape::kAny},
+    {"getpid", Nondet::kTime, NondetShape::kCall},
+    {"steady_clock", Nondet::kRawClock, NondetShape::kAny},
+    {"high_resolution_clock", Nondet::kRawClock, NondetShape::kAny},
+    {"MonotonicMicros", Nondet::kTimer, NondetShape::kAny},
+    {"ElapsedMs", Nondet::kTimer, NondetShape::kAny},
+    {"ElapsedUs", Nondet::kTimer, NondetShape::kAny},
+};
+
+// Every std::*_distribution is an RNG adaptor with an unspecified bit-stream.
+constexpr NondetToken kDistribution = {"", Nondet::kRng,
+                                       NondetShape::kTemplate};
+
+[[nodiscard]] const NondetToken* FindNondet(std::string_view ident) {
+  for (const NondetToken& n : kNondetTokens) {
+    if (n.ident == ident) return &n;
+  }
+  return ident.ends_with("_distribution") ? &kDistribution : nullptr;
+}
 
 // Operators that terminate an additive flow chunk; a chunk containing one
 // of these is untrackable ("?:").
@@ -119,8 +197,10 @@ struct Extractor {
   FileFacts& out;
 
   // Set by WalkStructure for the function whose body is being scanned.
-  std::unordered_set<std::string> unordered_params;
   int body_end_line = 0;
+  // Function index owning each structural token (signature and body), -1
+  // outside function definitions. Filled by WalkStructure.
+  std::vector<int> func_of;
 
   [[nodiscard]] std::string LineText(int line) const {
     if (line < 1 || line > static_cast<int>(lines.size())) return "";
@@ -530,32 +610,11 @@ struct Extractor {
 
   // The per-statement scanner. `begin`/`end` span the function body.
   void ScanStatements(int fidx, std::size_t begin, std::size_t end) {
-    // Prepass: locals with nondeterministic iteration order, and
-    // deterministic-counter locals (GL016 receivers).
-    std::unordered_set<std::string> unordered_locals = unordered_params;
-    std::unordered_set<std::string> ptrkey_locals;
+    // Prepass: deterministic-counter locals (GL016 receivers).
     std::unordered_set<std::string> counter_locals;
     for (std::size_t k = begin; k < end; ++k) {
       if (!t.IsIdent(k)) continue;
       const std::string& s = t.text(k);
-      if (kUnorderedContainers.count(s) ||
-          ((s == "map" || s == "set" || s == "multimap" || s == "multiset") &&
-           t.is(k + 1, "<"))) {
-        const std::size_t p = SkipTemplateArgs(t, k + 1);
-        if (p != k + 1 && t.IsIdent(p) && !IsReservedWord(t.text(p))) {
-          if (kUnorderedContainers.count(s)) {
-            unordered_locals.insert(t.text(p));
-          } else {
-            for (std::size_t q = k + 2; q + 1 < p; ++q) {
-              if (t.is(q, "*")) {  // pointer-keyed ordered container
-                ptrkey_locals.insert(t.text(p));
-                break;
-              }
-              if (t.is(q, ",")) break;  // only the key type matters
-            }
-          }
-        }
-      }
       if (s == "Counter" && t.is(k + 1, "&") && t.IsIdent(k + 2)) {
         for (std::size_t q = k; q < end && !t.is(q, ";"); ++q) {
           if (t.is(q, "kDeterministic")) {
@@ -576,8 +635,7 @@ struct Extractor {
       if (t.is(k, "{") && k < end) braces.push_back(k);
       if (t.is(k, "}") && !braces.empty()) braces.pop_back();
       if (!boundary) continue;
-      ScanOneStatement(fidx, stmt, k, braces, unordered_locals, ptrkey_locals,
-                       counter_locals);
+      ScanOneStatement(fidx, stmt, k, braces, counter_locals);
       stmt = k + 1;
     }
   }
@@ -590,8 +648,6 @@ struct Extractor {
 
   void ScanOneStatement(int fidx, std::size_t s, std::size_t e,
                         const std::vector<std::size_t>& braces,
-                        const std::unordered_set<std::string>& unordered_locals,
-                        const std::unordered_set<std::string>& ptrkey_locals,
                         const std::unordered_set<std::string>& counter_locals) {
     if (s >= e) return;
 
@@ -616,26 +672,11 @@ struct Extractor {
       }
     }
 
-    // Range-for over a nondeterministically ordered container.
-    if (t.is(s, "for") && t.is(s + 1, "(")) {
-      const std::size_t close = std::min(MatchGroup(t, s + 1, "(", ")"), e);
-      for (std::size_t k = s + 2; k < close; ++k) {
-        if (!t.is(k, ":") || !t.IsIdent(k - 1)) continue;
-        const std::string loop_var = t.text(k - 1);
-        std::string container;
-        for (std::size_t q = k + 1; q < close; ++q) {
-          if (t.IsIdent(q) && !IsReservedWord(t.text(q))) {
-            container = t.text(q);
-          }
-        }
-        const bool unordered = unordered_locals.count(container) > 0;
-        if (unordered || ptrkey_locals.count(container) > 0) {
-          out.taint_seeds.push_back(
-              {fidx, "v:" + loop_var,
-               unordered ? "unordered-iter" : "pointer-key", t.line(k),
-               LineText(t.line(k))});
-        }
-        break;
+    // Loops over named containers (GL001 / GL016 raw material).
+    for (std::size_t k = s; k + 1 < e; ++k) {
+      if (t.is(k, "for") && t.is(k + 1, "(")) {
+        const std::size_t close = MatchGroup(t, k + 1, "(", ")");
+        ScanLoopHeader(fidx, k, close <= e ? close - 1 : e);
       }
     }
 
@@ -781,12 +822,219 @@ struct Extractor {
     }
   }
 
+  // One for-loop header: `for (` at `k`, header tokens up to `hi` (its ')'
+  // or, for a classic loop, the end of the init statement). A range-for is
+  // recorded when its range expression is a plain, qualified or member
+  // name, optionally subscripted (`name[...]`) or called (`name(...)`); a
+  // classic loop when its init clause takes `name.begin()`.
+  void ScanLoopHeader(int fidx, std::size_t k, std::size_t hi) {
+    RangeLoop loop;
+    loop.func = fidx;
+    loop.line = t.line(k);
+    loop.line_text = LineText(loop.line);
+    int depth = 0;
+    for (std::size_t q = k + 2; q < hi; ++q) {
+      if (t.is(q, "(") || t.is(q, "[") || t.is(q, "{")) ++depth;
+      if (t.is(q, ")") || t.is(q, "]") || t.is(q, "}")) --depth;
+      if (depth != 0 || !t.is(q, ":")) continue;
+      if (t.IsIdent(q - 1)) loop.var = "v:" + t.text(q - 1);
+      std::size_t j = q + 1;
+      if (!t.IsIdent(j)) return;
+      while ((t.is(j + 1, "::") || t.is(j + 1, ".") || t.is(j + 1, "->")) &&
+             t.IsIdent(j + 2)) {
+        loop.member = !t.is(j + 1, "::");
+        j += 2;
+      }
+      loop.container = t.text(j);
+      if (j + 1 < hi) {
+        const bool subscript = t.is(j + 1, "[");
+        if (!subscript && !t.is(j + 1, "(")) return;
+        if (MatchGroup(t, j + 1, subscript ? "[" : "(",
+                       subscript ? "]" : ")") != hi) {
+          return;
+        }
+        loop.shape = subscript ? 'e' : 'f';
+      }
+      out.loops.push_back(std::move(loop));
+      return;
+    }
+    for (std::size_t q = k + 2; q + 3 < hi; ++q) {
+      if (t.IsIdent(q) && t.is(q + 1, ".") &&
+          (t.is(q + 2, "begin") || t.is(q + 2, "cbegin")) &&
+          t.is(q + 3, "(")) {
+        loop.container = t.text(q);
+        loop.member = t.is(q - 1, ".") || t.is(q - 1, "->");
+        out.loops.push_back(std::move(loop));
+        return;
+      }
+    }
+  }
+
+  // --- whole-file token patterns (GL002–GL006, GL009) ----------------------
+
+  void Hit(const char* rule, const std::string& detail, int line) {
+    out.pattern_hits.push_back({rule, detail, line, LineText(line)});
+  }
+
+  [[nodiscard]] bool ShapeMatches(NondetShape shape, std::size_t k) const {
+    const bool member = t.is(k - 1, ".") || t.is(k - 1, "->");
+    switch (shape) {
+      case NondetShape::kAny:
+        return true;
+      case NondetShape::kCall:
+        return !member && t.is(k + 1, "(");
+      case NondetShape::kNullary:
+        return !member && t.is(k + 1, "(") &&
+               (t.is(k + 2, ")") ||
+                ((t.is(k + 2, "NULL") || t.is(k + 2, "nullptr") ||
+                  t.is(k + 2, "0")) &&
+                 t.is(k + 3, ")")));
+      case NondetShape::kStaticCall:
+        return t.is(k - 1, "::") && t.is(k + 1, "(");
+      case NondetShape::kTemplate:
+        return t.is(k + 1, "<");
+    }
+    return false;
+  }
+
+  void ScanPatterns() {
+    // Indexed by Nondet: kRng, kTime, kRawClock, kTimer.
+    static const char* const kNondetRule[] = {"GL002", "GL003", "GL009", ""};
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      const std::string& s = t.text(k);
+      if (s == "==" || s == "!=") {
+        ScanFloatEquality(k);
+        continue;
+      }
+      if (!t.IsIdent(k)) continue;
+      const NondetToken* n = FindNondet(s);
+      if (n != nullptr && ShapeMatches(n->shape, k)) {
+        const char* rule = kNondetRule[static_cast<int>(n->kind)];
+        if (*rule != '\0') Hit(rule, s, t.line(k));
+      }
+      const bool std_member = t.is(k - 1, "::") && t.is(k - 2, "std");
+      if (((s == "thread" || s == "jthread" || s == "async") && std_member) ||
+          s == "pthread_create" ||
+          (s == "detach" && (t.is(k - 1, ".") || t.is(k - 1, "->")) &&
+           t.is(k + 1, "("))) {
+        Hit("GL006", s, t.line(k));
+      }
+      if (t.is(k + 1, "<") &&
+          (kUnorderedContainers.count(s) || kOrderedAssoc.count(s) ||
+           kElementContainers.count(s))) {
+        RecordContainer(k);
+      }
+    }
+  }
+
+  // GL005: `==` / `!=` at `k` with a resource field on either side.
+  void ScanFloatEquality(std::size_t k) {
+    std::size_t j = k + 1;
+    while (t.IsIdent(j) && (t.is(j + 1, ".") || t.is(j + 1, "->")) &&
+           t.IsIdent(j + 2)) {
+      j += 2;
+    }
+    if (t.IsIdent(k - 1) && kResourceFields.count(t.text(k - 1))) {
+      Hit("GL005", t.text(k - 1) + " " + t.text(k), t.line(k));
+    } else if (j > k + 1 && kResourceFields.count(t.text(j)) &&
+               !t.is(j + 1, "(")) {
+      Hit("GL005", t.text(k) + " " + t.text(j), t.line(k));
+    }
+  }
+
+  // A container template-id at `k`: records the name it declares with the
+  // order properties that name carries (unordered, pointer-keyed, or a
+  // container of unordered ones). Template-ids nested in another argument
+  // list declare nothing themselves; a pointer key is still reported.
+  void RecordContainer(std::size_t k) {
+    const std::size_t close = SkipTemplateArgs(t, k + 1);
+    if (close == k + 1 || t.is(k - 1, ".") || t.is(k - 1, "->")) return;
+    const std::string& s = t.text(k);
+    const bool assoc = kUnorderedContainers.count(s) || kOrderedAssoc.count(s);
+    ContainerDecl d;
+    d.func = func_of[k];
+    d.unordered = kUnorderedContainers.count(s) > 0;
+    d.line = t.line(k);
+    int depth = 0;
+    bool in_key = true;
+    for (std::size_t q = k + 1; q < close; ++q) {
+      const std::string& a = t.text(q);
+      if (a == "(") {
+        q = MatchGroup(t, q, "(", ")") - 1;
+      } else if (a == "<") {
+        ++depth;
+      } else if (a == ">" || a == ">>") {
+        depth -= a == ">" ? 1 : 2;
+      } else if (a == "," && depth == 1) {
+        in_key = false;
+      } else if (a == "*" && in_key && assoc) {
+        d.pointer_key = true;
+      } else if (!assoc && kUnorderedContainers.count(a)) {
+        d.unordered = true;
+        d.shape = 'e';
+      }
+    }
+    const bool nested = depth < 0 || t.is(close, ",") || t.is(close, ">") ||
+                        t.is(close, ">>");
+    std::size_t p = close;
+    while (t.is(p, "&") || t.is(p, "&&") || t.is(p, "*") || t.is(p, "const")) {
+      ++p;
+    }
+    if (!nested && t.IsIdent(p) && !IsReservedWord(t.text(p))) {
+      while (t.is(p + 1, "::") && t.IsIdent(p + 2)) p += 2;
+      const bool function = t.is(p + 1, "(") && d.func < 0;
+      if (!function || d.shape == 'v') {
+        d.name = t.text(p);
+        if (function) d.shape = 'f';
+      }
+    }
+    if (!d.pointer_key && (d.name.empty() || !d.unordered)) return;
+    d.line_text = LineText(d.line);
+    out.containers.push_back(std::move(d));
+  }
+
+  // GL007: a namespace-scope statement that defines a mutable variable.
+  // `head` holds the statement's tokens, brace initializers folded into
+  // their closing '}'.
+  void ProcessNamespaceStatement(const std::vector<std::size_t>& head) {
+    std::size_t b = 0;
+    while (b + 1 < head.size() && t.is(head[b], "[") &&
+           t.is(head[b + 1], "[")) {  // [[attributes]]
+      while (b < head.size() && !t.is(head[b], "]")) ++b;
+      b += 2;
+    }
+    if (b >= head.size() || kNonVariableLeads.count(t.text(head[b]))) return;
+    std::size_t lead = b;
+    while (t.is(head[lead], "static") || t.is(head[lead], "inline")) {
+      if (++lead == head.size()) return;
+    }
+    if (t.is(head[lead], "const")) return;
+    std::size_t paren = head.size();
+    std::size_t eq = head.size();
+    std::size_t end = head.size();  // where the declarator's initializer starts
+    for (std::size_t h = b; h < head.size(); ++h) {
+      const std::string& s = t.text(head[h]);
+      if (s == "constexpr" || s == "constinit" || s == "operator") return;
+      if (s == "(" && paren == head.size()) paren = h;
+      if (s == "=" && eq == head.size()) eq = h;
+      if ((s == "=" || s == "}") && end == head.size()) end = h;
+    }
+    if (paren < eq) return;  // function declaration or macro invocation
+    if (end > b && t.is(head[end - 1], "]")) {  // array declarator
+      while (end > b && !t.is(head[end - 1], "[")) --end;
+      if (end > b) --end;
+    }
+    if (end < b + 2 || !t.IsIdent(head[end - 1]) ||
+        IsReservedWord(t.text(head[end - 1]))) {
+      return;
+    }
+    Hit("GL007", t.text(head[end - 1]), t.line(head[b]));
+  }
+
   // Parses a function signature: the parameter list starting at `paren_tok`
   // and the trailing specifiers up to the body's '{' at `body_open`. Emits
-  // ParamDecl records, return-units and lock annotations, and primes
-  // `unordered_params` for the body scan.
+  // ParamDecl records, return-units and lock annotations.
   void ParseSignature(int fidx, std::size_t paren_tok, std::size_t body_open) {
-    unordered_params.clear();
     const std::size_t paren_end = MatchGroup(t, paren_tok, "(", ")");
 
     int index = 0;
@@ -829,7 +1077,6 @@ struct Extractor {
     std::string units;
     std::string name;
     bool is_int = false;
-    bool is_unordered = false;
     for (std::size_t k = lo; k < hi; ++k) {
       const std::string& s = t.text(k);
       if (s == "=") break;  // default argument
@@ -843,7 +1090,6 @@ struct Extractor {
         continue;
       }
       if (t.IsIdent(k) && kIntTypes.count(s)) is_int = true;
-      if (t.IsIdent(k) && kUnorderedContainers.count(s)) is_unordered = true;
       if (t.is(k + 1, "<")) {  // skip template arguments of the type
         const std::size_t p = SkipTemplateArgs(t, k + 1);
         if (p != k + 1) {
@@ -855,7 +1101,6 @@ struct Extractor {
     }
     if (name.empty()) return;
     if (units.empty() && is_int) units = "count";
-    if (is_unordered) unordered_params.insert(name);
     out.params.push_back({fidx, index, name, units});
   }
 
@@ -948,6 +1193,17 @@ struct Extractor {
 
   void FinalizeClass(const ClassCtx& cls) {
     if (!cls.owns_mutex) return;
+    const auto annotated = [](const MemberInfo& m) { return m.annotated; };
+    if (std::none_of(cls.members.begin(), cls.members.end(), annotated)) {
+      // GL008: nothing names what the mutex guards. One finding per class,
+      // at its mutex, instead of a GL011 per unannotated member.
+      for (const MemberInfo& m : cls.members) {
+        if (m.is_mutex) {
+          Hit("GL008", m.name, m.line);
+          return;
+        }
+      }
+    }
     for (const MemberInfo& m : cls.members) {
       if (m.is_mutex || m.exempt || m.annotated) continue;
       out.unguarded.push_back(
@@ -1141,7 +1397,10 @@ void WalkStructure(Extractor& ex) {
         ex.out.functions.push_back(std::move(def));
         ex.body_end_line = t.line(body_end - 1);
         if (paren_tok < t.size()) ex.ParseSignature(fidx, paren_tok, i);
-        else ex.unordered_params.clear();
+        for (std::size_t q = paren_tok < t.size() ? paren_tok : i;
+             q < body_end; ++q) {
+          ex.func_of[q] = fidx;
+        }
         ex.ScanBody(fidx, i + 1, body_end - 1);
         BuildFunctionCfg(t.toks, ex.lines, fidx,
                          paren_tok < t.size() ? paren_tok : i + 1, i + 1,
@@ -1154,7 +1413,11 @@ void WalkStructure(Extractor& ex) {
 
     if (s == ";") {
       Extractor::ClassCtx* cc = current_class();
-      if (cc != nullptr) ex.ProcessMemberStatement(head, cc);
+      if (cc != nullptr) {
+        ex.ProcessMemberStatement(head, cc);
+      } else {
+        ex.ProcessNamespaceStatement(head);
+      }
       head.clear();
       ++i;
       continue;
@@ -1181,140 +1444,6 @@ void WalkStructure(Extractor& ex) {
       ex.FinalizeClass(scopes.back().cls);
     }
     scopes.pop_back();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GL013: suppression comments and their per-rule trigger verdicts.
-// ---------------------------------------------------------------------------
-const std::unordered_set<std::string_view> kAnalyzerRuleNames = {
-    "alloc-in-hot-path", "unguarded-shared-member", "nondet-float-fold",
-    "stale-suppression", "unit-confusion", "lock-order-cycle",
-    "determinism-taint", "lock-path-leak", "use-after-invalidation",
-    "loop-carried-allocation", "unguarded-narrowing",
-    "divergent-parallel-update"};
-
-bool RuleTriggers(const std::string& rule, const SView& t,
-                  const std::vector<std::size_t>& span) {
-  const auto has_ident = [&](const std::unordered_set<std::string_view>& set) {
-    for (const std::size_t k : span) {
-      if (t.IsIdent(k) && set.count(t.text(k))) return true;
-    }
-    return false;
-  };
-  const auto has_text = [&](std::string_view s) {
-    for (const std::size_t k : span) {
-      if (t.text(k) == s) return true;
-    }
-    return false;
-  };
-
-  if (rule == "unordered-iter") {
-    if (has_text("for") || has_text("begin") || has_text("cbegin")) {
-      return true;
-    }
-    for (const std::size_t k : span) {
-      if (t.IsIdent(k) && t.text(k).starts_with("unordered_")) return true;
-    }
-    return false;
-  }
-  if (rule == "adhoc-rng") {
-    static const std::unordered_set<std::string_view> kRng = {
-        "rand", "srand", "mt19937", "mt19937_64", "minstd_rand",
-        "minstd_rand0", "default_random_engine", "random_device", "drand48",
-        "lrand48", "random_shuffle"};
-    if (has_ident(kRng)) return true;
-    for (const std::size_t k : span) {
-      if (t.IsIdent(k) && t.text(k).ends_with("_distribution")) return true;
-    }
-    return false;
-  }
-  if (rule == "time-seed") {
-    static const std::unordered_set<std::string_view> kTime = {
-        "time", "gettimeofday", "clock_gettime", "getpid", "clock", "now"};
-    return has_ident(kTime);
-  }
-  if (rule == "raw-clock") {
-    static const std::unordered_set<std::string_view> kClock = {
-        "steady_clock", "high_resolution_clock"};
-    return has_ident(kClock);
-  }
-  if (rule == "pointer-key") {
-    static const std::unordered_set<std::string_view> kAssoc = {
-        "map", "set", "multimap", "multiset", "unordered_map",
-        "unordered_set"};
-    return has_ident(kAssoc) && has_text("*");
-  }
-  if (rule == "float-eq") {
-    static const std::unordered_set<std::string_view> kFields = {
-        "cpu", "mem_gb", "net_mbps"};
-    return (has_text("==") || has_text("!=")) && has_ident(kFields);
-  }
-  if (rule == "raw-thread") {
-    static const std::unordered_set<std::string_view> kThread = {
-        "thread", "jthread", "async", "pthread_create", "detach"};
-    return has_ident(kThread);
-  }
-  if (rule == "global-state") {
-    if (span.empty()) return false;
-    static const std::unordered_set<std::string_view> kConst = {
-        "const", "constexpr", "constinit"};
-    return (has_text(";") || has_text("=")) && !has_ident(kConst);
-  }
-  if (rule == "unguarded-mutex") {
-    return has_ident(kMutexTypes);
-  }
-  // Analyzer rule names never suppress via allow() (the baseline file is
-  // their mechanism), so such a comment is always dead weight.
-  return false;
-}
-
-void ScanSuppressions(const std::vector<Token>& all, const SView& structural,
-                      Extractor& ex) {
-  static const std::unordered_set<std::string_view> kKnown = {
-      "unordered-iter", "adhoc-rng", "time-seed", "pointer-key", "float-eq",
-      "raw-thread", "global-state", "unguarded-mutex", "raw-clock"};
-  for (const Token& tok : all) {
-    if (tok.kind != TokKind::kComment) continue;
-    const std::string& c = tok.text;
-    const std::size_t at = c.find("gl-lint:");
-    if (at == std::string::npos) continue;
-    const std::size_t open = c.find("allow(", at);
-    if (open == std::string::npos) continue;
-    const std::size_t close = c.find(')', open);
-    if (close == std::string::npos) continue;
-
-    Suppression sup;
-    sup.line = tok.line;
-    sup.line_text = ex.LineText(tok.line);
-
-    // Structural tokens on the comment's line and the next line.
-    std::vector<std::size_t> span;
-    for (std::size_t k = 0; k < structural.size(); ++k) {
-      const int l = structural.line(k);
-      if (l == tok.line || l == tok.line + 1) span.push_back(k);
-      if (l > tok.line + 1) break;
-    }
-
-    std::string list = c.substr(open + 6, close - open - 6);
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      std::size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) comma = list.size();
-      std::string rule = list.substr(pos, comma - pos);
-      const auto b = rule.find_first_not_of(" \t");
-      const auto e = rule.find_last_not_of(" \t");
-      if (b != std::string::npos) {
-        rule = rule.substr(b, e - b + 1);
-        SuppressedRule sr;
-        sr.rule = rule;
-        sr.known = kKnown.count(rule) > 0 || kAnalyzerRuleNames.count(rule) > 0;
-        sr.triggered = RuleTriggers(rule, structural, span);
-        sup.rules.push_back(std::move(sr));
-      }
-      pos = comma + 1;
-    }
-    if (!sup.rules.empty()) ex.out.suppressions.push_back(std::move(sup));
   }
 }
 
@@ -1372,6 +1501,11 @@ void AppendRecord(std::string* out, std::initializer_list<std::string> cols) {
 
 }  // namespace
 
+bool IsTaintSourceCallee(std::string_view callee) {
+  const NondetToken* n = FindNondet(callee);
+  return n != nullptr && n->kind != Nondet::kRawClock;
+}
+
 std::uint64_t HashBytes(std::string_view bytes) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : bytes) {
@@ -1405,9 +1539,10 @@ FileFacts ExtractFacts(const std::string& path, std::string_view source) {
     }
   }
 
-  Extractor ex{structural, lines, facts, {}, 0};
+  Extractor ex{structural, lines, facts, 0,
+               std::vector<int>(structural.size(), -1)};
   WalkStructure(ex);
-  ScanSuppressions(all, structural, ex);
+  ex.ScanPatterns();
   return facts;
 }
 
@@ -1435,15 +1570,20 @@ void SerializeFacts(const FileFacts& f, std::string* out) {
     AppendRecord(out, {"X", x.var, x.function, std::to_string(x.line),
                        x.line_text});
   }
-  for (const Suppression& s : f.suppressions) {
-    std::string rules;
-    for (const SuppressedRule& r : s.rules) {
-      if (!rules.empty()) rules.push_back(',');
-      rules += r.rule;
-      rules.push_back(r.known ? 'k' : 'u');
-      rules.push_back(r.triggered ? 't' : 'f');
-    }
-    AppendRecord(out, {"S", std::to_string(s.line), s.line_text, rules});
+  for (const PatternHit& w : f.pattern_hits) {
+    AppendRecord(out, {"W", w.rule_id, w.detail, std::to_string(w.line),
+                       w.line_text});
+  }
+  for (const ContainerDecl& n : f.containers) {
+    AppendRecord(out, {"N", std::to_string(n.func), n.name,
+                       std::string(1, n.shape), n.unordered ? "1" : "0",
+                       n.pointer_key ? "1" : "0", std::to_string(n.line),
+                       n.line_text});
+  }
+  for (const RangeLoop& o : f.loops) {
+    AppendRecord(out, {"O", std::to_string(o.func), o.var, o.container,
+                       std::string(1, o.shape), o.member ? "1" : "0",
+                       std::to_string(o.line), o.line_text});
   }
   for (const UnitDecl& u : f.unit_decls) {
     AppendRecord(out, {"U", std::to_string(u.func), u.var, u.dim,
@@ -1469,10 +1609,6 @@ void SerializeFacts(const FileFacts& f, std::string* out) {
   for (const ReturnFlow& r : f.returns) {
     AppendRecord(out, {"T", std::to_string(r.func), r.term,
                        std::to_string(r.line)});
-  }
-  for (const TaintSeed& d : f.taint_seeds) {
-    AppendRecord(out, {"D", std::to_string(d.func), d.term, d.kind,
-                       std::to_string(d.line), d.line_text});
   }
   for (const LockAcquire& l : f.lock_acquires) {
     AppendRecord(out, {"L", std::to_string(l.func), l.lock,
@@ -1564,25 +1700,31 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
       if (!to_int(c[3], &x.line)) return false;
       x.line_text = c[4];
       f->float_folds.push_back(std::move(x));
-    } else if (c[0] == "S" && c.size() == 4) {
-      Suppression s;
-      if (!to_int(c[1], &s.line)) return false;
-      s.line_text = c[2];
-      std::size_t pos = 0;
-      const std::string& rules = c[3];
-      while (pos < rules.size()) {
-        std::size_t comma = rules.find(',', pos);
-        if (comma == std::string::npos) comma = rules.size();
-        const std::string item = rules.substr(pos, comma - pos);
-        if (item.size() < 3) return false;
-        SuppressedRule r;
-        r.rule = item.substr(0, item.size() - 2);
-        r.known = item[item.size() - 2] == 'k';
-        r.triggered = item[item.size() - 1] == 't';
-        s.rules.push_back(std::move(r));
-        pos = comma + 1;
-      }
-      f->suppressions.push_back(std::move(s));
+    } else if (c[0] == "W" && c.size() == 5) {
+      PatternHit w;
+      if (!to_int(c[3], &w.line)) return false;
+      w.rule_id = c[1];
+      w.detail = c[2];
+      w.line_text = c[4];
+      f->pattern_hits.push_back(std::move(w));
+    } else if (c[0] == "N" && c.size() == 8 && c[3].size() == 1) {
+      ContainerDecl n;
+      if (!to_int(c[1], &n.func) || !to_int(c[6], &n.line)) return false;
+      n.name = c[2];
+      n.shape = c[3][0];
+      n.unordered = c[4] == "1";
+      n.pointer_key = c[5] == "1";
+      n.line_text = c[7];
+      f->containers.push_back(std::move(n));
+    } else if (c[0] == "O" && c.size() == 8 && c[4].size() == 1) {
+      RangeLoop o;
+      if (!to_int(c[1], &o.func) || !to_int(c[6], &o.line)) return false;
+      o.var = c[2];
+      o.container = c[3];
+      o.shape = c[4][0];
+      o.member = c[5] == "1";
+      o.line_text = c[7];
+      f->loops.push_back(std::move(o));
     } else if (c[0] == "U" && c.size() == 5) {
       UnitDecl u;
       if (!to_int(c[1], &u.func) || !to_int(c[4], &u.line)) return false;
@@ -1625,13 +1767,6 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
       if (!to_int(c[1], &r.func) || !to_int(c[3], &r.line)) return false;
       r.term = c[2];
       f->returns.push_back(std::move(r));
-    } else if (c[0] == "D" && c.size() == 6) {
-      TaintSeed d;
-      if (!to_int(c[1], &d.func) || !to_int(c[4], &d.line)) return false;
-      d.term = c[2];
-      d.kind = c[3];
-      d.line_text = c[5];
-      f->taint_seeds.push_back(std::move(d));
     } else if (c[0] == "L" && c.size() == 6) {
       LockAcquire l;
       if (!to_int(c[1], &l.func) || !to_int(c[3], &l.line) ||

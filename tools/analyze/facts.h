@@ -16,17 +16,20 @@
 //   * allocation sites inside function bodies (GL010 raw material): new
 //     expressions, allocator calls, InducedSubgraph uses, and local owning
 //     containers that are constructed with contents or grown;
-//   * per-class member audits (GL011, resolved per file): classes owning a
-//     mutex, and their mutable members lacking GL_GUARDED_BY;
+//   * per-class member audits (GL008/GL011, resolved per file): classes
+//     owning a mutex, and their mutable members lacking GL_GUARDED_BY;
 //   * float accumulation into captured locals inside ParallelFor lambda
 //     bodies (GL012, resolved per file);
-//   * gl-lint allow(...) suppression comments together with a per-rule
-//     "does the suppressed rule still trigger here" verdict (GL013);
+//   * the determinism-contract token patterns that need no cross-file
+//     context (GL002, GL003, GL005–GL009, resolved per file);
+//   * order-sensitive container declarations and the loops over named
+//     containers (GL001/GL004 findings and GL016 taint seeds, resolved
+//     across files);
 //   * dataflow raw material (DESIGN.md §13): GL_UNITS dimension
 //     declarations, value flows (assignments, call arguments, returns),
-//     unit-relevant binary operators, lock acquisition sites, and
-//     nondeterminism taint seeds. The dataflow engine (dataflow.h) joins
-//     these across files into GL014/GL015/GL016 findings.
+//     unit-relevant binary operators and lock acquisition sites. The
+//     dataflow engine (dataflow.h) joins these across files into
+//     GL014/GL015/GL016 findings.
 #pragma once
 
 #include <cstdint>
@@ -85,18 +88,44 @@ struct FloatFold {
   std::string line_text;
 };
 
-// One rule named by a gl-lint allow(...) comment, and whether that rule
-// still has anything to suppress on the covered lines.
-struct SuppressedRule {
-  std::string rule;      // rule *name* as written (e.g. "unordered-iter")
-  bool known = false;    // names a rule the checkers understand
-  bool triggered = false;
+// A per-file determinism-contract hit (GL002, GL003, GL005–GL009; DESIGN.md
+// §8/§9): a token pattern, namespace-scope statement or class audit that
+// needs no cross-file context, so the extractor resolves it to its rule.
+struct PatternHit {
+  std::string rule_id;  // "GL002" ... "GL009"
+  std::string detail;   // the offending token, name or member
+  int line = 0;
+  std::string line_text;
 };
 
-struct Suppression {
-  int line = 0;           // line of the allow(...) comment
-  std::string line_text;  // trimmed source line carrying the comment
-  std::vector<SuppressedRule> rules;
+// A declaration whose type iterates in an order the language does not pin
+// down: an unordered container, or any map/set keyed on a pointer. Every
+// pointer-keyed one is a GL004 finding; the names feed the cross-file
+// loop-order resolution behind GL001 and the GL016 taint seeds.
+struct ContainerDecl {
+  int func = -1;       // function whose body or signature declares it; -1
+                       // for members, namespace scope and declarations
+  std::string name;    // declared name; "" for an unnamed type use
+  char shape = 'v';    // 'v' variable, 'f' function returning one,
+                       // 'e' container of them (iterated as name[...])
+  bool unordered = false;
+  bool pointer_key = false;
+  int line = 0;
+  std::string line_text;
+};
+
+// A range-for, or an iterator for-loop (`for (auto it = c.begin(); ...`),
+// over a named container. dataflow.h resolves the container against the
+// ContainerDecl records of every file.
+struct RangeLoop {
+  int func = -1;
+  std::string var;        // loop variable term ("v:x"); "" when none
+  std::string container;  // last name of the range expression
+  char shape = 'v';       // 'v' name, 'e' name[...], 'f' name(...)
+  bool member = false;    // reached through x.name / p->name: a member,
+                          // never one of the function's locals
+  int line = 0;
+  std::string line_text;
 };
 
 // --- dataflow raw material (GL014 / GL015 / GL016) -------------------------
@@ -164,16 +193,6 @@ struct ReturnFlow {
   int line = 0;
 };
 
-// A nondeterministic value born in this function (beyond the intrinsic
-// taint-source callees the dataflow engine knows by name).
-struct TaintSeed {
-  int func = -1;
-  std::string term;  // the term the taint lands in, e.g. the loop variable
-  std::string kind;  // "unordered-iter", "pointer-key"
-  int line = 0;
-  std::string line_text;
-};
-
 // --- control-flow raw material (GL017–GL021, cfg.h) ------------------------
 //
 // The extractor builds one basic-block CFG per function body (cfg.cc) and
@@ -239,18 +258,27 @@ struct FileFacts {
   std::vector<AllocSite> allocs;
   std::vector<UnguardedMember> unguarded;
   std::vector<FloatFold> float_folds;
-  std::vector<Suppression> suppressions;
+  std::vector<PatternHit> pattern_hits;
+  std::vector<ContainerDecl> containers;
+  std::vector<RangeLoop> loops;
   std::vector<UnitDecl> unit_decls;
   std::vector<ParamDecl> params;
   std::vector<UnitBinop> binops;
   std::vector<UnitAssign> assigns;
   std::vector<CallArg> call_args;
   std::vector<ReturnFlow> returns;
-  std::vector<TaintSeed> taint_seeds;
   std::vector<LockAcquire> lock_acquires;
   std::vector<LockAnno> lock_annos;
   std::vector<FuncCfg> cfgs;
 };
+
+// True for a callee whose return value is nondeterministic across runs: an
+// RNG, a wall-clock or timer read, or a sanctioned obs/clock.h reader. One
+// table (facts.cc) serves the pattern rules, which report the raw sources
+// (GL002 ad-hoc RNG, GL003 wall-clock and timer values, GL009 raw
+// std::chrono clocks), and the flow rules, which treat calls to them as
+// taint sources (GL016) and thread-varying branch conditions (GL021).
+[[nodiscard]] bool IsTaintSourceCallee(std::string_view callee);
 
 // Lexes + extracts in one go. `path` is recorded verbatim.
 [[nodiscard]] FileFacts ExtractFacts(const std::string& path,

@@ -16,7 +16,7 @@ class StateHash {
 void LogWallTime(unsigned long long t);
 
 unsigned long long TickStamp() {
-  const unsigned long long t = clock();
+  const unsigned long long t = obs::MonotonicMicros();
   return t;
 }
 

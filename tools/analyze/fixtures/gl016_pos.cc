@@ -1,8 +1,10 @@
 // gl-analyze-expect: GL016
 //
-// A raw clock reading laundered through a helper still reaches the epoch
+// A wall-clock reading laundered through a helper still reaches the epoch
 // state hash: taint survives the call-return edge of the call graph, so
 // hashing the "stamp" makes EpochStateHash differ between identical runs.
+// The reading comes from the sanctioned obs/clock.h timer, which GL003 and
+// GL009 accept: only the flow into the hash is wrong.
 
 namespace fixture {
 
@@ -12,7 +14,7 @@ class StateHash {
 };
 
 unsigned long long TickStamp() {
-  const unsigned long long t = clock();  // nondeterminism source
+  const unsigned long long t = obs::MonotonicMicros();  // wall time
   return t;
 }
 

@@ -1,14 +1,13 @@
 // C++ token lexer for gl_analyze (DESIGN.md §12).
 //
-// gl_lint (GL001–GL009) works line-by-line with regexes and a
-// comment/string blanking pre-pass; that is fundamentally blind to anything
-// spanning statements, and its literal handling has known gaps (raw
-// strings, digit separators, multi-line directives). gl_analyze starts one
-// level lower: this lexer turns a translation unit into a flat token stream
-// with correct handling of
+// A line-by-line regex checker with a comment/string blanking pre-pass is
+// blind to anything spanning statements, and its literal handling has
+// known gaps (raw strings, digit separators, multi-line directives).
+// gl_analyze starts one level lower: this lexer turns a translation unit
+// into a flat token stream with correct handling of
 //
-//   * line and block comments (kept as tokens — suppression comments and
-//     fixture expectations live in them),
+//   * line and block comments (kept as tokens — fixture expectations live
+//     in them),
 //   * string literals incl. encoding prefixes (u8/u/U/L) and raw strings
 //     R"delim(...)delim" of any delimiter,
 //   * character literals and digit separators (1'000'000 is one number, not
@@ -18,7 +17,7 @@
 //   * maximal-munch punctuation (>>=, <=>, ->, ::, ...).
 //
 // Everything downstream (tools/analyze/facts.h) consumes tokens, never raw
-// text, which is what eliminates the regex checker's class of
+// text, which is what eliminates a regex checker's class of
 // inside-a-string-literal false positives.
 #pragma once
 

@@ -3,8 +3,7 @@
 # then the same suite under AddressSanitizer + UndefinedBehaviorSanitizer.
 # This is what CI runs; run it locally before sending a change.
 #
-#   tools/check.sh            # lint + release + asan stages
-#   tools/check.sh lint       # determinism linter only (no build needed)
+#   tools/check.sh            # every stage below except tidy
 #   tools/check.sh analyze    # gl_analyze contract checker (builds the tool)
 #   tools/check.sh release    # Release stage + seed-replay gate only
 #   tools/check.sh asan       # ASan+UBSan stage only
@@ -21,9 +20,9 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 STAGE="${1:-all}"
 
 case "${STAGE}" in
-  all|lint|analyze|release|asan|tsan|tidy) ;;
+  all|analyze|release|asan|tsan|tidy) ;;
   *)
-    echo "unknown stage: ${STAGE} (expected all, lint, analyze, release, asan, tsan or tidy)" >&2
+    echo "unknown stage: ${STAGE} (expected all, analyze, release, asan, tsan or tidy)" >&2
     exit 2
     ;;
 esac
@@ -39,19 +38,11 @@ run_stage() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
 
-# Static half of the determinism contract (DESIGN.md §8): rule fixtures,
-# then a clean pass over the production tree.
-if [[ "${STAGE}" == "all" || "${STAGE}" == "lint" ]]; then
-  echo "==> gl_lint self-test"
-  python3 tools/gl_lint --self-test
-  echo "==> gl_lint src/"
-  python3 tools/gl_lint src
-fi
-
-# Token-aware cross-file contract checker (DESIGN.md §12–§14): fixture
-# corpus, then the whole tree (src/, bench/, tools/ — fixture dirs are
-# skipped by the scanner) must be clean modulo the committed baseline, and
-# src/power/ must keep full GL014 dimension coverage.
+# Static half of the determinism contract (DESIGN.md §8/§9, §12–§14): the
+# token-aware cross-file checker (GL001–GL022) runs its fixture corpus, then
+# the whole tree (src/, bench/, tools/ — fixture dirs are skipped by the
+# scanner) must be clean modulo the committed baseline, with no stale
+# entries, and src/power/ must keep full GL014 dimension coverage.
 if [[ "${STAGE}" == "all" || "${STAGE}" == "analyze" ]]; then
   echo "==> build gl_analyze"
   cmake -B build-check-analyze -S . -DCMAKE_BUILD_TYPE=Release
