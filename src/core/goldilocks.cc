@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -15,17 +16,6 @@
 #include "obs/trace.h"
 
 namespace gl {
-
-// Flow adjacency over container ids in CSR form, used to compute how much of
-// a container's traffic leaves its group. Container c's peers are
-// peers[offsets[c] .. offsets[c + 1]) with positive flow weights in
-// `flows`, both in workload edge order.
-struct FlowAdjacency {
-  std::vector<std::size_t> offsets;
-  std::vector<int> peers;
-  std::vector<double> flows GL_UNITS(count);
-  std::vector<double> total_flows GL_UNITS(count);
-};
 
 namespace {
 
@@ -59,86 +49,13 @@ std::uint64_t HashActiveMask(std::span<const std::uint8_t> active) {
   return h;
 }
 
-FlowAdjacency BuildFlowAdjacency(const Workload& workload) {
-  const std::size_t n = workload.containers.size();
-  FlowAdjacency adj;
-  adj.offsets.assign(n + 1, 0);
-  adj.total_flows.assign(n, 0.0);
-  for (const auto& e : workload.edges) {
-    if (e.flows <= 0.0) continue;
-    ++adj.offsets[static_cast<std::size_t>(e.a.value()) + 1];
-    ++adj.offsets[static_cast<std::size_t>(e.b.value()) + 1];
-  }
-  for (std::size_t c = 0; c < n; ++c) adj.offsets[c + 1] += adj.offsets[c];
-  adj.peers.resize(adj.offsets[n]);
-  adj.flows.resize(adj.offsets[n]);
-  std::vector<std::size_t> cursor(adj.offsets.begin(), adj.offsets.end() - 1);
-  for (const auto& e : workload.edges) {
-    if (e.flows <= 0.0) continue;
-    const auto ia = static_cast<std::size_t>(e.a.value());
-    const auto ib = static_cast<std::size_t>(e.b.value());
-    adj.peers[cursor[ia]] = e.b.value();
-    adj.flows[cursor[ia]++] = e.flows;
-    adj.peers[cursor[ib]] = e.a.value();
-    adj.flows[cursor[ib]++] = e.flows;
-    adj.total_flows[ia] += e.flows;
-    adj.total_flows[ib] += e.flows;
-  }
-  return adj;
-}
-
-// Membership stamps: `stamp[c] == generation` means c is in the current set.
-class MembershipStamp {
- public:
-  explicit MembershipStamp(std::size_t n) : stamp_(n, 0) {}
-  void Begin(std::span<const ContainerId> members) {
-    ++generation_;
-    for (const auto c : members) {
-      stamp_[static_cast<std::size_t>(c.value())] = generation_;
-    }
-  }
-  [[nodiscard]] bool Contains(int container_value) const {
-    return stamp_[static_cast<std::size_t>(container_value)] == generation_;
-  }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t generation_ = 0;
-};
-
-// Effective demand of a group assuming its members are colocated: CPU and
-// memory add up; each member's network demand is scaled by the fraction of
-// its flow weight that crosses the group boundary (colocated chatter never
-// reaches the NIC). Members with no modelled flows keep their full network
-// demand — their traffic goes somewhere we cannot see.
-Resource EffectiveGroupDemand(std::span<const ContainerId> members,
-                              std::span<const Resource> demands,
-                              const FlowAdjacency& adj,
-                              MembershipStamp& stamp) {
-  stamp.Begin(members);
-  Resource out;
-  for (const auto c : members) {
-    const auto ci = static_cast<std::size_t>(c.value());
-    const Resource& d = demands[ci];
-    out.cpu += d.cpu;
-    out.mem_gb += d.mem_gb;
-    const double total GL_UNITS(count) = adj.total_flows[ci];
-    if (total <= 0.0) {
-      out.net_mbps += d.net_mbps;
-      continue;
-    }
-    double external GL_UNITS(count) = 0.0;
-    for (std::size_t k = adj.offsets[ci]; k < adj.offsets[ci + 1]; ++k) {
-      if (!stamp.Contains(adj.peers[k])) external += adj.flows[k];
-    }
-    out.net_mbps += d.net_mbps * (external / total);
-  }
-  return out;
-}
-
 }  // namespace
 
 struct GoldilocksScheduler::PartitionCache {
+  // Built on the first Place() for a workload, rebuilt when the workload
+  // object changes (DESIGN.md §11).
+  std::optional<WorkloadGraph> graph;
+  EpochGraph epoch;  // per-repartition compaction, storage reused
   const Workload* workload = nullptr;
   std::uint64_t active_hash = 0;
   int epochs_since_partition = 0;
@@ -171,7 +88,7 @@ std::uint64_t GoldilocksScheduler::StateDigest() const {
 }
 
 std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
-    const SchedulerInput& input, const FlowAdjacency& adj) {
+    const SchedulerInput& input, const WorkloadGraph& graph) {
   const auto& topo = *input.topology;
   const Resource avg_cap = topo.average_server_capacity();
   const Resource ceiling = CeilingFor(avg_cap, opts_);
@@ -193,7 +110,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
     const Resource drift_limit = ceiling * 1.5;
     bool acceptable = true;
     for (const auto& group : cache_->groups) {
-      if (!EffectiveGroupDemand(group, input.demands, adj, stamp)
+      if (!graph.EffectiveDemand(group, input.demands, stamp)
                .FitsIn(drift_limit)) {
         acceptable = false;
         break;
@@ -212,8 +129,8 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
                           input.workload->containers.size()));
 
   // --- full re-partition -----------------------------------------------------
-  const ContainerGraph cg = BuildContainerGraph(
-      *input.workload, input.demands, input.active, avg_cap);
+  EpochGraph& cg = cache_->epoch;
+  graph.Compact(input.demands, input.active, avg_cap, cg);
   // Groups are sized against a margin-reduced ceiling so they survive
   // epoch-to-epoch demand growth without a full repartition.
   const Resource group_ceiling = ceiling * (1.0 - opts_.group_headroom);
@@ -283,7 +200,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
     IncrementalOptions iopts;
     iopts.partition = opts_.partition;
     const auto repaired =
-        IncrementalRepartition(cg.graph, previous, fits, iopts);
+        IncrementalRepartition(cg.graph, cg.demands, previous, fits, iopts);
 
     // Rebuild member lists; each new group inherits the recursion path of
     // the old group contributing most of its members (fresh groups sort
@@ -334,7 +251,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
     paths = std::move(p2);
   } else {
     const RecursivePartitionResult part =
-        RecursivePartition(cg.graph, fits, opts_.partition, units);
+        RecursivePartition(cg.graph, cg.demands, fits, opts_.partition, units);
 
     // Groups in locality order, as container-id lists.
     const std::vector<int> order = GroupsInLocalityOrder(part);
@@ -358,24 +275,26 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
   // --- refinement: enforce the exact ceiling on *effective* demand -----------
   // A group that passed the relaxed partition check may still exceed the
   // NIC (or, after demand growth, CPU) once colocated; bisect it further.
+  CsrGraph sub;
+  std::vector<VertexIndex> remap;
   static obs::Counter& refine_bisects =
       obs::MetricsRegistry::Global().GetCounter(
           "goldilocks.refine_bisections", obs::MetricKind::kDeterministic);
   for (std::size_t gi = 0; gi < groups.size();) {
     const Resource eff =
-        EffectiveGroupDemand(groups[gi], input.demands, adj, stamp);
+        graph.EffectiveDemand(groups[gi], input.demands, stamp);
     if (eff.FitsIn(group_ceiling) || groups[gi].size() <= 1) {
       ++gi;
       continue;
     }
-    // Bisect the induced subgraph of this group.
+    // Bisect this group's induced sub-view.
     std::vector<VertexIndex> verts;
     verts.reserve(groups[gi].size());
     for (const auto c : groups[gi]) {
       verts.push_back(
           cg.container_to_vertex[static_cast<std::size_t>(c.value())]);
     }
-    const Graph sub = cg.graph.InducedSubgraph(verts);
+    sub.BuildInduced(cg.graph, verts, remap);
     PartitionOptions popts = opts_.partition;
     popts.seed ^= 0x9e3779b97f4a7c15ULL + gi;
     // Carve off one ceiling-full per split so the survivor fills a server.
@@ -451,7 +370,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
         std::vector<ContainerId> combined = groups[i];
         combined.insert(combined.end(), groups[i + 1].begin(),
                         groups[i + 1].end());
-        if (!EffectiveGroupDemand(combined, input.demands, adj, stamp)
+        if (!graph.EffectiveDemand(combined, input.demands, stamp)
                  .FitsIn(group_ceiling)) {
           continue;
         }
@@ -502,7 +421,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
 Placement GoldilocksScheduler::AssignGroupsSymmetric(
     const SchedulerInput& input,
     const std::vector<std::vector<ContainerId>>& groups,
-    const FlowAdjacency& adj) const {
+    const WorkloadGraph& graph) const {
   const auto& topo = *input.topology;
   PackingState state(topo);
   Placement p;
@@ -573,7 +492,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     // Book the *effective* demand: colocated traffic never hits the NIC.
     // CPU and memory are booked per container (exact).
     const Resource eff =
-        EffectiveGroupDemand(group, input.demands, adj, stamp);
+        graph.EffectiveDemand(group, input.demands, stamp);
     state.Add(s, eff);
     for (const auto c : group) {
       p.server_of[static_cast<std::size_t>(c.value())] = s;
@@ -595,7 +514,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     const auto& group = groups[gi];
     if (group.empty()) continue;
     const Resource eff =
-        EffectiveGroupDemand(group, input.demands, adj, stamp);
+        graph.EffectiveDemand(group, input.demands, stamp);
 
     // Stability: keep the group on last epoch's server while the server
     // stays below the stability ceiling — moderate growth is exactly what
@@ -665,8 +584,11 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
 
 Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   GOLDILOCKS_CHECK(input.workload != nullptr && input.topology != nullptr);
-  const FlowAdjacency adj = BuildFlowAdjacency(*input.workload);
-  const auto groups = PartitionContainers(input, adj);
+  if (!cache_->graph || !cache_->graph->BuiltFrom(*input.workload)) {
+    cache_->graph.emplace(*input.workload);
+  }
+  const WorkloadGraph& graph = *cache_->graph;
+  const auto groups = PartitionContainers(input, graph);
 
   // Record the grouping for inspection (Fig. 7).
   last_grouping_.assign(input.workload->containers.size(), -1);
@@ -690,7 +612,7 @@ Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   }
   obs::TraceSpan assign_span("goldilocks.assign_symmetric",
                              static_cast<std::int64_t>(groups.size()));
-  return AssignGroupsSymmetric(input, groups, adj);
+  return AssignGroupsSymmetric(input, groups, graph);
 }
 
 }  // namespace gl

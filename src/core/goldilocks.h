@@ -1,7 +1,8 @@
 // The Goldilocks scheduler (Sec. III: symmetric topologies).
 //
 // Placement pipeline per epoch:
-//   1. Build the container graph for the active containers.
+//   1. Compact the workload's container graph (built once per workload) to
+//      the active containers.
 //   2. Recursively bipartition it (min-cut, balanced) until every group's
 //      aggregate demand fits one server packed to the Peak Energy Efficiency
 //      ceiling (70% CPU/network by default; memory has its own ceiling —
@@ -28,8 +29,6 @@
 #include "schedulers/scheduler.h"
 
 namespace gl {
-
-struct FlowAdjacency;  // container flow adjacency, built per Place()
 
 struct GoldilocksOptions {
   // Packing ceiling at the Peak Energy Efficiency point (CPU & network).
@@ -92,12 +91,12 @@ class GoldilocksScheduler final : public Scheduler {
   // Returns groups as container-id lists, in the order they should be laid
   // onto servers.
   std::vector<std::vector<ContainerId>> PartitionContainers(
-      const SchedulerInput& input, const FlowAdjacency& adj);
+      const SchedulerInput& input, const WorkloadGraph& graph);
 
   Placement AssignGroupsSymmetric(
       const SchedulerInput& input,
       const std::vector<std::vector<ContainerId>>& groups,
-      const FlowAdjacency& adj) const;
+      const WorkloadGraph& graph) const;
 
   std::string name_ = "Goldilocks";
   GoldilocksOptions opts_;

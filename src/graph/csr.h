@@ -19,9 +19,11 @@
 // recursion sums them per index range only when emitting groups.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -144,6 +146,38 @@ class CsrGraph {
     EndBuild();
   }
 
+  // Induced sub-view of `g` over ascending `vertices` (local id = position)
+  // in Graph::InducedSubgraph's arc order: a row's lower-id neighbours
+  // ascending, then its higher-id ones in row order. `remap` is scratch
+  // indexed by g's vertex ids, all -1 (or absent) between calls.
+  void BuildInduced(const CsrGraph& g, std::span<const VertexIndex> vertices,
+                    std::vector<VertexIndex>& remap) {
+    remap.resize(static_cast<std::size_t>(g.num_vertices()), -1);
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      GOLDILOCKS_CHECK(i == 0 || vertices[i - 1] < vertices[i]);
+      remap[g.Checked(vertices[i])] = static_cast<VertexIndex>(i);
+    }
+    std::vector<std::pair<VertexIndex, double>> lower;
+    BeginBuild(static_cast<VertexIndex>(vertices.size()), 0);
+    for (const auto v : vertices) {
+      BeginRow(g.balance_weight(v));
+      const auto [to, ws] = g.arc_range(v);
+      lower.clear();
+      for (std::size_t k = 0; k < to.size(); ++k) {
+        const auto t = remap[static_cast<std::size_t>(to[k])];
+        if (t >= 0 && to[k] < v) lower.emplace_back(t, ws[k]);
+      }
+      std::sort(lower.begin(), lower.end());  // targets are distinct
+      for (const auto& [t, w] : lower) PushArc(t, w);
+      for (std::size_t k = 0; k < to.size(); ++k) {
+        const auto t = remap[static_cast<std::size_t>(to[k])];
+        if (t >= 0 && to[k] > v) PushArc(t, ws[k]);
+      }
+    }
+    EndBuild();
+    for (const auto v : vertices) remap[static_cast<std::size_t>(v)] = -1;
+  }
+
   [[nodiscard]] VertexIndex num_vertices() const {
     return static_cast<VertexIndex>(balance_.size());
   }
@@ -180,18 +214,18 @@ class CsrGraph {
     return deg_[Checked(v)];
   }
 
-  // Cut weight of a 2-way assignment; iterates arcs with to > v so each
-  // undirected edge contributes once, in the same order Graph::CutWeight
-  // visits it.
-  [[nodiscard]] double CutWeight(std::span<const std::uint8_t> side) const {
-    GOLDILOCKS_CHECK_EQ(side.size(), balance_.size());
+  // Cut weight of a labelling (2-way sides or k-way group ids); iterates
+  // arcs with to > v so each undirected edge contributes once, in the same
+  // order Graph::CutWeight / CutWeightKWay visit it.
+  template <typename Labels>
+  [[nodiscard]] double CutWeight(const Labels& part) const {
+    GOLDILOCKS_CHECK_EQ(part.size(), balance_.size());
     double cut = 0.0;
     for (VertexIndex v = 0; v < num_vertices(); ++v) {
-      const auto to = arcs(v);
-      const auto ws = arc_weights(v);
+      const auto [to, ws] = arc_range(v);
       for (std::size_t i = 0; i < to.size(); ++i) {
-        if (to[i] > v && side[static_cast<std::size_t>(v)] !=
-                             side[static_cast<std::size_t>(to[i])]) {
+        if (to[i] > v && part[static_cast<std::size_t>(v)] !=
+                             part[static_cast<std::size_t>(to[i])]) {
           cut += ws[i];
         }
       }

@@ -50,6 +50,19 @@ void Graph::AddEdge(VertexIndex u, VertexIndex v, double weight) {
   ++num_edges_;
 }
 
+void Graph::InstallRow(VertexIndex v, std::span<const VertexIndex> to,
+                       std::span<const double> weights) {
+  GOLDILOCKS_CHECK_EQ(to.size(), weights.size());
+  auto& row = adj_[Checked(v)];
+  GOLDILOCKS_CHECK(row.empty());
+  row.reserve(to.size());
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    (void)Checked(to[i]);
+    row.push_back({to[i], weights[i]});
+    if (to[i] > v) ++num_edges_;
+  }
+}
+
 double Graph::degree_weight(VertexIndex v) const {
   double s = 0.0;
   for (const auto& e : adj_[Checked(v)]) s += e.weight;

@@ -40,6 +40,12 @@ class Graph {
   // merged (weights summed). Self-loops are ignored.
   void AddEdge(VertexIndex u, VertexIndex v, double weight);
 
+  // Installs v's whole adjacency row, for builders that merge parallel
+  // edges themselves (core/graph_builder.h). The caller installs both
+  // directions of every edge, once each, with no self-loops.
+  void InstallRow(VertexIndex v, std::span<const VertexIndex> to,
+                  std::span<const double> weights);
+
   // Pre-sizes the per-vertex arrays for `expected_vertices` AddVertex calls
   // (the adjacency rows still grow per edge).
   void Reserve(VertexIndex expected_vertices);
@@ -52,6 +58,7 @@ class Graph {
   [[nodiscard]] const Resource& demand(VertexIndex v) const {
     return demands_[Checked(v)];
   }
+  [[nodiscard]] std::span<const Resource> demands() const { return demands_; }
   [[nodiscard]] double balance_weight(VertexIndex v) const {
     return balance_[Checked(v)];
   }

@@ -25,17 +25,18 @@ struct State {
     return static_cast<int>(demand.size()) - 1;
   }
 
-  void Assign(const Graph& g, VertexIndex v, int to) {
+  void Assign(std::span<const Resource> demands, VertexIndex v, int to) {
     const int from = group_of[static_cast<std::size_t>(v)];
     if (from == to) return;
+    const Resource& d = demands[static_cast<std::size_t>(v)];
     if (from >= 0) {
-      demand[static_cast<std::size_t>(from)] -= g.demand(v);
+      demand[static_cast<std::size_t>(from)] -= d;
       if (--count[static_cast<std::size_t>(from)] == 0) {
         retired[static_cast<std::size_t>(from)] = 1;
       }
     }
     group_of[static_cast<std::size_t>(v)] = to;
-    demand[static_cast<std::size_t>(to)] += g.demand(v);
+    demand[static_cast<std::size_t>(to)] += d;
     ++count[static_cast<std::size_t>(to)];
     retired[static_cast<std::size_t>(to)] = 0;
   }
@@ -48,23 +49,26 @@ struct State {
 // first candidate seen, so the iteration order is part of the algorithm —
 // first-touch order follows the adjacency list, which is deterministic by
 // construction.
-void AccumulateNeighborGroups(const Graph& g, const State& s, VertexIndex v,
-                              GroupAccumulator& acc) {
+void AccumulateNeighborGroups(const CsrGraph& g, const State& s,
+                              VertexIndex v, GroupAccumulator& acc) {
   acc.Reset(s.demand.size());
-  for (const auto& e : g.neighbors(v)) {
-    const int ng = s.group_of[static_cast<std::size_t>(e.to)];
-    if (ng >= 0) acc.Add(ng, e.weight);
+  const auto [to, ws] = g.arc_range(v);
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    const int ng = s.group_of[static_cast<std::size_t>(to[i])];
+    if (ng >= 0) acc.Add(ng, ws[i]);
   }
 }
 
 }  // namespace
 
-IncrementalResult IncrementalRepartition(const Graph& g,
+IncrementalResult IncrementalRepartition(const CsrGraph& g,
+                                         std::span<const Resource> demands,
                                          std::span<const int> previous,
                                          const FitPredicate& fits,
                                          const IncrementalOptions& opts) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   GOLDILOCKS_CHECK(previous.size() == n);
+  GOLDILOCKS_CHECK(demands.size() == n);
   Rng rng(opts.partition.seed ^ 0x12cULL);
 
   // --- adopt the previous assignment (remapping sparse old ids) -------------
@@ -78,11 +82,13 @@ IncrementalResult IncrementalRepartition(const Graph& g,
     if (it == old_to_new.end()) {
       it = old_to_new.emplace(old, s.NewGroup()).first;
     }
-    s.Assign(g, v, it->second);
+    s.Assign(demands, v, it->second);
   }
 
   // --- place vertices that are new this epoch --------------------------------
   GroupAccumulator acc;  // reused for every attachment scan below
+  CsrGraph sub;          // carve views, see below
+  std::vector<VertexIndex> remap;
   for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
     if (s.group_of[static_cast<std::size_t>(v)] >= 0) continue;
     AccumulateNeighborGroups(g, s, v, acc);
@@ -92,13 +98,13 @@ IncrementalResult IncrementalRepartition(const Graph& g,
       const double w = acc.Get(ng);
       if (w <= best_w) continue;
       const Resource after = s.demand[static_cast<std::size_t>(ng)] +
-                             g.demand(v);
+                             demands[static_cast<std::size_t>(v)];
       if (fits(after, s.count[static_cast<std::size_t>(ng)] + 1)) {
         best = ng;
         best_w = w;
       }
     }
-    s.Assign(g, v, best >= 0 ? best : s.NewGroup());
+    s.Assign(demands, v, best >= 0 ? best : s.NewGroup());
   }
 
   // --- restore feasibility -----------------------------------------------------
@@ -140,11 +146,12 @@ IncrementalResult IncrementalRepartition(const Graph& g,
         if (group_feasible(gid)) break;
         if (s.group_of[static_cast<std::size_t>(c.v)] != gid) continue;
         const Resource after =
-            s.demand[static_cast<std::size_t>(c.target)] + g.demand(c.v);
+            s.demand[static_cast<std::size_t>(c.target)] +
+            demands[static_cast<std::size_t>(c.v)];
         if (!fits(after, s.count[static_cast<std::size_t>(c.target)] + 1)) {
           continue;
         }
-        s.Assign(g, c.v, c.target);
+        s.Assign(demands, c.v, c.target);
       }
       if (group_feasible(gid)) continue;
 
@@ -156,7 +163,7 @@ IncrementalResult IncrementalRepartition(const Graph& g,
           members.push_back(v);
         }
       }
-      const Graph sub = g.InducedSubgraph(members);
+      sub.BuildInduced(g, members, remap);
       PartitionOptions popts = opts.partition;
       popts.seed = rng.NextU64();
       const Bisection bis = Bisect(sub, popts);
@@ -164,7 +171,7 @@ IncrementalResult IncrementalRepartition(const Graph& g,
       const bool zero_smaller = bis.side_weight[0] <= bis.side_weight[1];
       for (std::size_t i = 0; i < members.size(); ++i) {
         if ((bis.side[i] == 0) == zero_smaller) {
-          s.Assign(g, members[i], fresh);
+          s.Assign(demands, members[i], fresh);
         }
       }
     }
@@ -195,15 +202,15 @@ IncrementalResult IncrementalRepartition(const Graph& g,
         if (ng == own) continue;
         const double gain = acc.Get(ng) - own_w;
         if (gain <= best_gain) continue;
-        const Resource after =
-            s.demand[static_cast<std::size_t>(ng)] + g.demand(v);
+        const Resource after = s.demand[static_cast<std::size_t>(ng)] +
+                               demands[static_cast<std::size_t>(v)];
         if (fits(after, s.count[static_cast<std::size_t>(ng)] + 1)) {
           best = ng;
           best_gain = gain;
         }
       }
       if (best >= 0) {
-        s.Assign(g, v, best);
+        s.Assign(demands, v, best);
         ++refinement_moves;
         improved = true;
       }
@@ -240,8 +247,17 @@ IncrementalResult IncrementalRepartition(const Graph& g,
       ++result.moved_vertices;
     }
   }
-  result.cut_weight = g.CutWeightKWay(result.group_of);
+  result.cut_weight = g.CutWeight(result.group_of);
   return result;
+}
+
+IncrementalResult IncrementalRepartition(const Graph& g,
+                                         std::span<const int> previous,
+                                         const FitPredicate& fits,
+                                         const IncrementalOptions& opts) {
+  CsrGraph csr;
+  csr.BuildFrom(g);
+  return IncrementalRepartition(csr, g.demands(), previous, fits, opts);
 }
 
 }  // namespace gl

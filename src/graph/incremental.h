@@ -45,7 +45,14 @@ struct IncrementalResult {
 
 // `previous[v]` is v's old group id, or -1 for vertices that did not exist
 // last epoch. Group ids need not be dense. The fit predicate and capacity
-// units follow RecursivePartition's semantics.
+// units follow RecursivePartition's semantics; `demands[v]` is vertex v's
+// Resource demand.
+IncrementalResult IncrementalRepartition(const CsrGraph& g,
+                                         std::span<const Resource> demands,
+                                         std::span<const int> previous,
+                                         const FitPredicate& fits,
+                                         const IncrementalOptions& opts);
+// Adapter: the same repair over g's CSR snapshot and demands.
 IncrementalResult IncrementalRepartition(const Graph& g,
                                          std::span<const int> previous,
                                          const FitPredicate& fits,

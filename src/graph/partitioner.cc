@@ -672,7 +672,7 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
 
 }  // namespace
 
-Bisection Bisect(const Graph& g, const PartitionOptions& opts,
+Bisection Bisect(const CsrGraph& g, const PartitionOptions& opts,
                  double target_fraction) {
   GOLDILOCKS_CHECK(target_fraction > 0.0 && target_fraction < 1.0);
   Bisection result;
@@ -684,8 +684,6 @@ Bisection Bisect(const Graph& g, const PartitionOptions& opts,
     return result;
   }
 
-  CsrGraph csr;
-  csr.BuildFrom(g);
   PartitionScratch scratch;
   CsrBisection bis;
   if (opts.threads > 1) {
@@ -693,17 +691,23 @@ Bisection Bisect(const Graph& g, const PartitionOptions& opts,
     // own through every split instead. Identical results either way — the
     // pool only changes scheduling, never output (DESIGN.md §9).
     ThreadPool pool(opts.threads);
-    bis = BisectCsr(csr, opts, target_fraction, &pool, scratch, result.side);
+    bis = BisectCsr(g, opts, target_fraction, &pool, scratch, result.side);
     PublishPoolStats(pool.Stats());
   } else {
-    bis = BisectCsr(csr, opts, target_fraction, nullptr, scratch,
-                    result.side);
+    bis = BisectCsr(g, opts, target_fraction, nullptr, scratch, result.side);
   }
   result.cut_weight = bis.cut_weight;
   result.side_weight[0] = bis.w0;
   result.side_weight[1] = g.total_balance_weight() - bis.w0;
   result.balanced = bis.balanced;
   return result;
+}
+
+Bisection Bisect(const Graph& g, const PartitionOptions& opts,
+                 double target_fraction) {
+  CsrGraph csr;
+  csr.BuildFrom(g);
+  return Bisect(csr, opts, target_fraction);
 }
 
 namespace {
@@ -727,8 +731,8 @@ namespace {
 // thread count (DESIGN.md §9).
 // ---------------------------------------------------------------------------
 struct RangeCtx {
-  const Graph* g = nullptr;       // demands for leaf emission
-  const CsrGraph* csr = nullptr;  // topology for everything else
+  std::span<const Resource> demands;  // per vertex, for leaf emission
+  const CsrGraph* csr = nullptr;      // topology for everything else
   const PartitionOptions* opts = nullptr;
   const FitPredicate* fits = nullptr;
   const CapacityUnitsFn* units = nullptr;
@@ -774,7 +778,7 @@ void ExtractSub(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
 Resource RangeDemand(const RangeCtx& ctx, std::size_t lo, std::size_t hi) {
   Resource d;
   for (std::size_t pos = lo; pos < hi; ++pos) {
-    d += ctx.g->demand(ctx.perm[pos]);
+    d += ctx.demands[static_cast<std::size_t>(ctx.perm[pos])];
   }
   return d;
 }
@@ -948,12 +952,15 @@ NodeRef FitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
   return self;
 }
 
-void InitRangeCtx(RangeCtx& ctx, const Graph& g, const CsrGraph& csr,
+void InitRangeCtx(RangeCtx& ctx, const CsrGraph& csr,
+                  std::span<const Resource> demands,
                   const PartitionOptions& opts) {
-  ctx.g = &g;
+  GOLDILOCKS_CHECK_EQ(demands.size(),
+                      static_cast<std::size_t>(csr.num_vertices()));
+  ctx.demands = demands;
   ctx.csr = &csr;
   ctx.opts = &opts;
-  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto n = static_cast<std::size_t>(csr.num_vertices());
   ctx.perm.resize(n);
   std::iota(ctx.perm.begin(), ctx.perm.end(), 0);
   ctx.where = std::vector<std::atomic<VertexIndex>>(n);
@@ -994,7 +1001,7 @@ KWayResult KWayPartition(const Graph& g, int k, const PartitionOptions& opts) {
   CsrGraph csr;
   csr.BuildFrom(g);
   RangeCtx ctx;
-  InitRangeCtx(ctx, g, csr, opts);
+  InitRangeCtx(ctx, csr, g.demands(), opts);
   PartitionScratch scratch;
   KWayRecurse(ctx, 0, static_cast<std::size_t>(g.num_vertices()), k, 0,
               /*depth=*/0, opts.seed, scratch, out);
@@ -1083,7 +1090,8 @@ double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
   return improvement;
 }
 
-RecursivePartitionResult RecursivePartition(const Graph& g,
+RecursivePartitionResult RecursivePartition(const CsrGraph& g,
+                                            std::span<const Resource> demands,
                                             const FitPredicate& fits,
                                             const PartitionOptions& opts,
                                             const CapacityUnitsFn& units) {
@@ -1094,10 +1102,8 @@ RecursivePartitionResult RecursivePartition(const Graph& g,
   out.group_of.assign(n, -1);
   if (n == 0) return out;
 
-  CsrGraph csr;
-  csr.BuildFrom(g);
   RangeCtx ctx;
-  InitRangeCtx(ctx, g, csr, opts);
+  InitRangeCtx(ctx, g, demands, opts);
   ctx.fits = &fits;
   ctx.units = &units;
 
@@ -1133,6 +1139,15 @@ RecursivePartitionResult RecursivePartition(const Graph& g,
   PublishScratchPeak(scratch_peak);
   if (pool) PublishPoolStats(pool->Stats());
   return out;
+}
+
+RecursivePartitionResult RecursivePartition(const Graph& g,
+                                            const FitPredicate& fits,
+                                            const PartitionOptions& opts,
+                                            const CapacityUnitsFn& units) {
+  CsrGraph csr;
+  csr.BuildFrom(g);
+  return RecursivePartition(csr, g.demands(), fits, opts, units);
 }
 
 std::vector<int> GroupsInLocalityOrder(const RecursivePartitionResult& r) {

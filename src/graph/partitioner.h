@@ -24,9 +24,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "graph/csr.h"
 #include "graph/graph.h"
 
 namespace gl {
@@ -79,6 +81,9 @@ struct Bisection {
 // Balanced 2-way partition. `target_fraction` is the share of the total
 // balance weight that side 0 should receive (0.5 for an even split; other
 // values drive non-power-of-two k-way splits).
+Bisection Bisect(const CsrGraph& g, const PartitionOptions& opts,
+                 double target_fraction = 0.5);
+// Adapter: the same bisection of g's CSR snapshot (CsrGraph::BuildFrom).
 Bisection Bisect(const Graph& g, const PartitionOptions& opts,
                  double target_fraction = 0.5);
 
@@ -127,6 +132,12 @@ struct RecursivePartitionResult {
 // rather than the ~50–70% that plain halving produces.
 using CapacityUnitsFn = std::function<double(const Resource& demand)>;
 
+// `demands[v]` is vertex v's Resource demand; `g` carries the rest.
+RecursivePartitionResult RecursivePartition(
+    const CsrGraph& g, std::span<const Resource> demands,
+    const FitPredicate& fits, const PartitionOptions& opts,
+    const CapacityUnitsFn& units = nullptr);
+// Adapter: RecursivePartition over g's CSR snapshot and demands.
 RecursivePartitionResult RecursivePartition(
     const Graph& g, const FitPredicate& fits, const PartitionOptions& opts,
     const CapacityUnitsFn& units = nullptr);

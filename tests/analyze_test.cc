@@ -163,6 +163,7 @@ TEST(Fixtures, PositivesFireExactlyTheirRules) {
       {"gl006_pos_detached_thread.cc", {"GL006"}},
       {"gl007_pos_mutable_global.cc", {"GL007"}},
       {"gl007_pos_mutable_global_uninitialized.cc", {"GL007"}},
+      {"gl007_pos_inline_namespace_global.cc", {"GL007"}},
       {"gl008_pos_unguarded_mutex.cc", {"GL008"}},
       {"gl009_pos_raw_clock_alias.cc", {"GL009"}},
       {"gl010_pos.cc", {"GL010"}},
@@ -171,6 +172,7 @@ TEST(Fixtures, PositivesFireExactlyTheirRules) {
       {"gl014_pos.cc", {"GL014"}},
       {"gl015_pos.cc", {"GL015"}},
       {"gl016_pos.cc", {"GL016"}},
+      {"gl016_pos_unordered_loop_element.cc", {"GL001", "GL016"}},
       {"gl017_pos.cc", {"GL017"}},
       {"gl018_pos.cc", {"GL018"}},
       // gl019's hot loop allocates, so the flow-insensitive GL010 fires on
@@ -195,7 +197,8 @@ TEST(Fixtures, NegativesAreClean) {
         "gl007_neg_namespace_decls.cc", "gl007_neg_default_arg_brace.cc",
         "gl008_neg_guarded_mutex.cc", "gl009_neg_obs_timer.cc",
         "gl010_neg.cc", "gl011_neg.cc", "gl012_neg.cc", "gl014_neg.cc",
-        "gl015_neg.cc", "gl016_neg.cc", "gl017_neg.cc", "gl018_neg.cc",
+        "gl015_neg.cc", "gl016_neg.cc", "gl016_neg_ordered_loop_element.cc",
+        "gl017_neg.cc", "gl018_neg.cc",
         "gl019_neg.cc", "gl020_neg.cc", "gl021_neg.cc"}) {
     EXPECT_TRUE(FiredRules(FixturesDir() + std::string("/") + file).empty())
         << file;
@@ -453,17 +456,18 @@ TEST(Cache, WarmRunReusesFactsAndEditInvalidates) {
   EXPECT_EQ(touched.files_lexed, 0);
   EXPECT_EQ(touched.files_cached, 1);
 
-  // The same cache under the previous format's header (v4 facts lacked the
-  // GL001–GL009 records): every entry is re-extracted, none misread.
+  // The same cache under the previous format's header (v5 facts lacked
+  // structured bindings and member roots): every entry is re-extracted,
+  // none misread.
   std::string bytes = ReadFileOrDie(cache);
-  ASSERT_TRUE(bytes.starts_with("glcache v5 "));
-  bytes.replace(0, 11, "glcache v4 ");
+  ASSERT_TRUE(bytes.starts_with("glcache v6 "));
+  bytes.replace(0, 11, "glcache v5 ");
   WriteFileOrDie(cache, bytes);
-  CacheStats v4;
-  facts = LoadFacts({src_path}, cache, &v4, &err);
+  CacheStats v5;
+  facts = LoadFacts({src_path}, cache, &v5, &err);
   EXPECT_TRUE(err.empty()) << err;
-  EXPECT_EQ(v4.files_lexed, 1);
-  EXPECT_EQ(v4.files_cached, 0);
+  EXPECT_EQ(v5.files_lexed, 1);
+  EXPECT_EQ(v5.files_cached, 0);
   EXPECT_EQ(Analyze(facts, AnalysisOptions{}).size(), 1u);
 
   // Content edit: the hash changes, the entry is re-extracted, and the new

@@ -1,13 +1,15 @@
 // Tests for the flat CSR partitioning kernel (DESIGN.md §11): CsrGraph
 // equivalence against Graph, arena storage reuse, the lazy-deletion heap,
 // the FM incremental-gain engine, and the zero-copy recursion contract
-// (no InducedSubgraph materialization on the partitioning path).
+// (no InducedSubgraph materialization on the partitioning path, in the
+// partitioner or in the scheduler's Place()).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/goldilocks.h"
 #include "graph/csr.h"
 #include "graph/fm.h"
 #include "graph/graph.h"
@@ -290,6 +292,53 @@ TEST(CsrRecursionTest, RecursivePartitionBuildsNoInducedSubgraphs) {
   // extracted, zero Graph copies materialized.
   EXPECT_EQ(builds.value() - builds_before, 0u);
   EXPECT_GT(views.value() - views_before, 0u);
+}
+
+// The same contract for the scheduler: Place() partitions, repairs and
+// refines on CSR views of the workload graph, never on Graph copies.
+TEST(CsrRecursionTest, GoldilocksPlaceBuildsNoInducedSubgraphs) {
+  auto& builds = obs::MetricsRegistry::Global().GetCounter(
+      "graph.induced_subgraph_builds", obs::MetricKind::kDeterministic);
+  auto& refines = obs::MetricsRegistry::Global().GetCounter(
+      "goldilocks.refine_bisections", obs::MetricKind::kDeterministic);
+  const Resource cap{.cpu = 3200, .mem_gb = 64, .net_mbps = 1000};
+  const Topology topo = Topology::LeafSpine(8, 2, 2, cap, 1000.0);
+  // 16 flowless containers: together they pass the partition's relaxed
+  // NIC check, but their full NIC demand overflows one server, so the
+  // fresh partition's group is refined by bisection.
+  Workload w;
+  for (int i = 0; i < 16; ++i) {
+    Container c;
+    c.id = ContainerId{i};
+    w.containers.push_back(c);
+  }
+  std::vector<Resource> demands(16, {.cpu = 100, .mem_gb = 1, .net_mbps = 300});
+  const std::vector<std::uint8_t> active(16, 1);
+  GoldilocksOptions opts;
+  opts.incremental_repartition = true;
+  GoldilocksScheduler sched(opts);
+  SchedulerInput input;
+  input.workload = &w;
+  input.demands = demands;
+  input.active = active;
+  input.topology = &topo;
+
+  const auto builds_before = builds.value();
+  const auto refines_before = refines.value();
+  (void)sched.Place(input);  // fresh partition + refine bisections
+  const auto refines_fresh = refines.value();
+  EXPECT_GT(refines_fresh - refines_before, 0u);
+  const int fresh_groups = sched.last_num_groups();
+
+  // CPU growth past the relaxed fit: the repair finds every group
+  // infeasible with no neighbour group to shed into, so it carves each
+  // one by bisection. No refinement is needed afterwards (NIC is low).
+  for (auto& d : demands) d = {.cpu = 1100, .mem_gb = 1, .net_mbps = 10};
+  (void)sched.Place(input);
+  EXPECT_EQ(refines.value(), refines_fresh);
+  EXPECT_GT(sched.last_num_groups(), fresh_groups);
+
+  EXPECT_EQ(builds.value() - builds_before, 0u);
 }
 
 }  // namespace

@@ -535,9 +535,11 @@ struct CacheEntry {
 }
 
 // Cache file format (v5 adds the GL001–GL009 records — PatternHit,
-// ContainerDecl, RangeLoop — and drops the allow()-comment records; older
-// blobs are rejected by the header check and simply re-extracted):
-//   glcache v5 <config hash hex>
+// ContainerDecl, RangeLoop — and drops the allow()-comment records; v6
+// gives a RangeLoop every structured binding and member terms their root
+// local; older blobs are rejected by the header check and simply
+// re-extracted):
+//   glcache v6 <config hash hex>
 //   file <path>\t<mtime_ns>\t<size>\t<hash hex>
 //   <serialized facts lines>
 //   end
@@ -549,7 +551,7 @@ struct CacheEntry {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(config_hash));
-  return std::string("glcache v5 ") + buf;
+  return std::string("glcache v6 ") + buf;
 }
 
 void ParseCacheFile(const std::string& path, const std::string& header_line,

@@ -155,8 +155,20 @@ bool Join(Val* into, const Val& from) {
                               term[0] == 'c') && term[1] == ':';
 }
 
+// The term's name, without a member term's "^root" suffix.
 [[nodiscard]] std::string TermName(const std::string& term) {
-  return term.size() > 2 ? term.substr(2) : term;
+  if (term.size() <= 2) return term;
+  const std::size_t root =
+      term.starts_with("m:") ? term.find('^') : std::string::npos;
+  return root == std::string::npos ? term.substr(2) : term.substr(2, root - 2);
+}
+
+// The local a member term's chain starts from ("m:second^kv" → "v:kv"),
+// or "" for any other term.
+[[nodiscard]] std::string RootOf(const std::string& term) {
+  const std::size_t at =
+      term.starts_with("m:") ? term.find('^') : std::string::npos;
+  return at == std::string::npos ? "" : "v:" + term.substr(at + 1);
 }
 
 // Call terms are "c:callee@line"; the bare callee name, for display and for
@@ -190,6 +202,7 @@ struct Engine {
   // resolves — while taint still flows through it.
   std::set<std::string> poly;
   std::set<std::pair<std::string, std::string>> edges;  // src -> dst
+  std::set<std::pair<std::string, std::string>> taint_edges;  // taint only
 
   [[nodiscard]] static std::string LocalKey(int file, int func,
                                             const std::string& name) {
@@ -333,26 +346,35 @@ struct Engine {
           loop_orders[static_cast<std::size_t>(fi)];
       for (std::size_t li = 0; li < f.loops.size(); ++li) {
         const RangeLoop& loop = f.loops[li];
-        const std::string node = NodeOf(fi, loop.func, loop.var);
-        if (node.empty() || orders[li].empty()) continue;
-        Join(&vals[node], Val{Dim::kUnknown, true,
-                              std::string(orders[li]) + " at " + f.path +
-                                  ":" + std::to_string(loop.line)});
+        if (orders[li].empty()) continue;
+        for (const std::string& var : loop.vars) {
+          const std::string node = NodeOf(fi, loop.func, var);
+          if (node.empty()) continue;
+          Join(&vals[node], Val{Dim::kUnknown, true,
+                                std::string(orders[li]) + " at " + f.path +
+                                    ":" + std::to_string(loop.line)});
+        }
       }
 
-      // Flow edges.
+      // Flow edges. A member term also draws taint (never a dimension)
+      // from the local its chain starts at: `kv.second` carries `kv`'s.
+      const auto flow = [&](int func, const std::string& term,
+                            const std::string& dst) {
+        AddEdge(NodeOf(fi, func, term), dst);
+        const std::string root = RootOf(term);
+        if (!root.empty()) AddTaintEdge(NodeOf(fi, func, root), dst);
+      };
       for (const UnitAssign& a : f.assigns) {
-        AddEdge(NodeOf(fi, a.func, a.rhs), NodeOf(fi, a.func, a.lhs));
+        flow(a.func, a.rhs, NodeOf(fi, a.func, a.lhs));
       }
       for (const ReturnFlow& r : f.returns) {
-        AddEdge(NodeOf(fi, r.func, r.term), RetKey({fi, r.func}));
+        flow(r.func, r.term, RetKey({fi, r.func}));
       }
       for (const CallArg& g : f.call_args) {
-        const std::string src = NodeOf(fi, g.func, g.term);
-        if (src.empty()) continue;
+        if (NodeOf(fi, g.func, g.term).empty()) continue;
         if (kPassthroughCallees.count(g.callee)) {
-          AddEdge(src, CallKey(fi, g.func,
-                               g.callee + "@" + std::to_string(g.line)));
+          flow(g.func, g.term,
+               CallKey(fi, g.func, g.callee + "@" + std::to_string(g.line)));
           continue;
         }
         const std::vector<FuncRef>* targets =
@@ -362,7 +384,7 @@ struct Engine {
           const FileFacts& tf = files[static_cast<std::size_t>(tgt.file)];
           for (const ParamDecl& p : tf.params) {
             if (p.func == tgt.func && p.index == g.index) {
-              AddEdge(src, LocalKey(tgt.file, tgt.func, p.name));
+              flow(g.func, g.term, LocalKey(tgt.file, tgt.func, p.name));
             }
           }
         }
@@ -392,6 +414,10 @@ struct Engine {
     if (src.empty() || dst.empty() || src == dst) return;
     edges.insert({src, dst});
   }
+  void AddTaintEdge(const std::string& src, const std::string& dst) {
+    if (src.empty() || dst.empty() || src == dst) return;
+    taint_edges.insert({src, dst});
+  }
 
   void Fixpoint() {
     // The edge set is sorted (std::set), so propagation order — and with it
@@ -404,6 +430,13 @@ struct Engine {
         Val v = it->second;  // copy: vals[dst] may rehash
         // Dimension-erased target: taint flows through, dimensions do not.
         if (poly.count(dst)) v.dim = Dim::kUnknown;
+        if (Join(&vals[dst], v)) changed = true;
+      }
+      for (const auto& [src, dst] : taint_edges) {
+        const auto it = vals.find(src);
+        if (it == vals.end() || !it->second.tainted) continue;
+        Val v = it->second;
+        v.dim = Dim::kUnknown;
         if (Join(&vals[dst], v)) changed = true;
       }
       if (!changed) return;
@@ -496,7 +529,11 @@ struct Engine {
         const std::string an = NodeOf(fi, g.func, g.term);
         if (an.empty()) continue;
         const Val av = ValueOf(an);
-        if (kTaintSinkCallees.count(g.callee) && av.tainted) {
+        const std::string root = RootOf(g.term);
+        const Val tv = av.tainted || root.empty()
+                           ? av
+                           : ValueOf(NodeOf(fi, g.func, root));
+        if (kTaintSinkCallees.count(g.callee) && tv.tainted) {
           Finding fd;
           fd.rule_id = kRuleTaint;
           fd.rule_name = "determinism-taint";
@@ -506,8 +543,8 @@ struct Engine {
           fd.message =
               "'" + CalleeOf(g.term) + "' reaches determinism sink '" +
               g.callee + "' but carries nondeterministic data (" +
-              (av.origin.empty() ? std::string("unknown origin")
-                                 : av.origin) +
+              (tv.origin.empty() ? std::string("unknown origin")
+                                 : tv.origin) +
               "); hash only kDeterministic state (DESIGN.md §8)";
           out->push_back(std::move(fd));
         }
@@ -856,7 +893,7 @@ LoopOrders ResolveLoopOrders(const std::vector<FileFacts>& files) {
 void AnalyzeDataflow(const std::vector<FileFacts>& files,
                      const SymbolIndex& index, const LoopOrders& loop_orders,
                      std::vector<Finding>* out, UnitsReport* units) {
-  Engine engine{files, index, loop_orders, {}, {}, {}, {}, {}, {}, {}};
+  Engine engine{files, index, loop_orders, {}, {}, {}, {}, {}, {}, {}, {}};
   engine.Build();
   engine.Fixpoint();
   engine.Check(out, units);

@@ -420,6 +420,7 @@ struct Extractor {
     if (IsReservedWord(first) && first != "this") return {"", k};
 
     std::string cur = first;
+    std::string root;  // the local a member chain starts from, if any
     bool member = false;
     std::size_t pos = k + 1;
     {  // template arguments on the head name (make_foo<T>(...))
@@ -433,6 +434,7 @@ struct Extractor {
           if (!t.IsIdent(close + 1)) return {"?:", close};
           cur = t.text(close + 1);
           member = true;
+          root.clear();  // a call's result is its own value
           pos = close + 2;
           continue;
         }
@@ -448,6 +450,7 @@ struct Extractor {
       }
       if (t.is(pos, ".") || t.is(pos, "->")) {
         if (!t.IsIdent(pos + 1)) return {"?:", pos};
+        if (!member && cur != "this") root = cur;
         cur = t.text(pos + 1);
         member = true;
         pos += 2;
@@ -462,7 +465,8 @@ struct Extractor {
       break;
     }
     if (cur == "this") return {"?:", pos};
-    return {(member ? "m:" : "v:") + cur, pos};
+    if (!member) return {"v:" + cur, pos};
+    return {"m:" + cur + (root.empty() ? "" : "^" + root), pos};
   }
 
   // Finds the start of the operand that ends just before `k`, then parses
@@ -837,7 +841,14 @@ struct Extractor {
       if (t.is(q, "(") || t.is(q, "[") || t.is(q, "{")) ++depth;
       if (t.is(q, ")") || t.is(q, "]") || t.is(q, "}")) --depth;
       if (depth != 0 || !t.is(q, ":")) continue;
-      if (t.IsIdent(q - 1)) loop.var = "v:" + t.text(q - 1);
+      if (t.IsIdent(q - 1)) loop.vars.push_back("v:" + t.text(q - 1));
+      if (t.is(q - 1, "]")) {  // structured bindings: `auto& [k, v] : m`
+        std::size_t b = q - 1;
+        while (b > k + 2 && !t.is(b, "[")) --b;
+        for (std::size_t n = b + 1; n + 1 < q; ++n) {
+          if (t.IsIdent(n)) loop.vars.push_back("v:" + t.text(n));
+        }
+      }
       std::size_t j = q + 1;
       if (!t.IsIdent(j)) return;
       while ((t.is(j + 1, "::") || t.is(j + 1, ".") || t.is(j + 1, "->")) &&
@@ -1236,7 +1247,9 @@ void WalkStructure(Extractor& ex) {
   while (i < t.size()) {
     const std::string& s = t.text(i);
 
-    if (t.IsIdent(i) && s == "namespace" && head.empty()) {
+    // `inline namespace v1 {` opens a namespace scope too.
+    if (t.IsIdent(i) && s == "namespace" &&
+        (head.empty() || (head.size() == 1 && t.is(head[0], "inline")))) {
       std::size_t j = i + 1;
       while (j < t.size() && !t.is(j, "{") && !t.is(j, ";") && !t.is(j, "=")) {
         ++j;
@@ -1581,7 +1594,9 @@ void SerializeFacts(const FileFacts& f, std::string* out) {
                        n.line_text});
   }
   for (const RangeLoop& o : f.loops) {
-    AppendRecord(out, {"O", std::to_string(o.func), o.var, o.container,
+    std::string vars;
+    for (const auto& v : o.vars) vars += (vars.empty() ? "" : ",") + v;
+    AppendRecord(out, {"O", std::to_string(o.func), vars, o.container,
                        std::string(1, o.shape), o.member ? "1" : "0",
                        std::to_string(o.line), o.line_text});
   }
@@ -1719,7 +1734,11 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
     } else if (c[0] == "O" && c.size() == 8 && c[4].size() == 1) {
       RangeLoop o;
       if (!to_int(c[1], &o.func) || !to_int(c[6], &o.line)) return false;
-      o.var = c[2];
+      for (std::size_t at = 0; at < c[2].size();) {
+        const std::size_t comma = std::min(c[2].find(',', at), c[2].size());
+        o.vars.push_back(c[2].substr(at, comma - at));
+        at = comma + 1;
+      }
       o.container = c[3];
       o.shape = c[4][0];
       o.member = c[5] == "1";

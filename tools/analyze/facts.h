@@ -119,7 +119,9 @@ struct ContainerDecl {
 // ContainerDecl records of every file.
 struct RangeLoop {
   int func = -1;
-  std::string var;        // loop variable term ("v:x"); "" when none
+  // Loop variable terms ("v:x"), one per structured binding; empty when
+  // the header declares none.
+  std::vector<std::string> vars;
   std::string container;  // last name of the range expression
   char shape = 'v';       // 'v' name, 'e' name[...], 'f' name(...)
   bool member = false;    // reached through x.name / p->name: a member,
@@ -133,7 +135,9 @@ struct RangeLoop {
 // Value flows reference *terms*, a compact encoding of the expressions the
 // token scanner can track:
 //   "v:name"  local variable or parameter in the enclosing function
-//   "m:field" member access (x.field, x->field, this->field): last field
+//   "m:field" member access (x.field, x->field, this->field): last field;
+//             "m:field^x" when the chain starts at the plain name x, whose
+//             taint the member carries (GL016)
 //   "c:name"  call expression (the callee's return value)
 //   "k:"      literal constant (polymorphic: joins with anything)
 //   "?:"      anything the scanner cannot track (excluded from checks)

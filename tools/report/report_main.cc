@@ -85,15 +85,20 @@ std::vector<std::string> SplitCommas(const std::string& s) {
   return parts;
 }
 
-bool ReadLines(const std::string& path, std::vector<std::string>& lines) {
+// Non-empty lines of `path`; `line_numbers` (optional) gets each one's
+// 1-based line number in the file.
+bool ReadLines(const std::string& path, std::vector<std::string>& lines,
+               std::vector<int>* line_numbers = nullptr) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "gl_report: cannot open %s\n", path.c_str());
     return false;
   }
   std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
+  for (int number = 1; std::getline(in, line); ++number) {
+    if (line.empty()) continue;
+    lines.push_back(line);
+    if (line_numbers != nullptr) line_numbers->push_back(number);
   }
   return true;
 }
@@ -124,6 +129,30 @@ double ExtractNumber(const std::string& line, const char* key, double fallback,
   const std::size_t at = line.find(pat, from);
   if (at == std::string::npos) return fallback;
   return std::strtod(line.c_str() + at + pat.size(), nullptr);
+}
+
+// Strict form of ExtractNumber for input validation: the first
+// `"key":` at/after `from` must be followed by a finite number. Returns an
+// empty string and sets *value on success, else what is wrong; *at is the
+// key's offset (or `from` when it is absent).
+std::string ReadNumber(const std::string& text, const char* key,
+                       std::size_t from, double* value, std::size_t* at) {
+  std::string pat = "\"";
+  pat += key;
+  pat += "\":";
+  const std::size_t found = text.find(pat, from);
+  *at = from;
+  if (found == std::string::npos) {
+    return std::string("no \"") + key + "\" number";
+  }
+  *at = found;
+  const char* begin = text.c_str() + found + pat.size();
+  char* end = nullptr;
+  *value = std::strtod(begin, &end);
+  if (end == begin || !std::isfinite(*value)) {
+    return std::string("\"") + key + "\" is not a finite number";
+  }
+  return "";
 }
 
 // All `"name":number` pairs of the flat object following `"section":{`.
@@ -200,6 +229,26 @@ int Check(const std::string& path_a, const std::string& path_b) {
 }
 
 // --- tables ----------------------------------------------------------------
+
+// What is wrong with one gl.epoch.v1 record, or "" when it carries every
+// field the tables read: a scheduler name, a numeric epoch and a timings
+// section with a non-negative wall time. A missing field would otherwise
+// read as a default 0 in the tables.
+std::string ValidateEpochRecord(const std::string& line) {
+  double value = 0.0;
+  std::size_t at = 0;
+  std::string error = ReadNumber(line, "epoch", 0, &value, &at);
+  if (!error.empty()) return error;
+  if (ExtractString(line, "scheduler").empty()) {
+    return "no \"scheduler\" name";
+  }
+  const std::size_t timings_at = line.find(kTimingsMarker);
+  if (timings_at == std::string::npos) return "no \"timings\" section";
+  error = ReadNumber(line, "wall_ms", timings_at, &value, &at);
+  if (!error.empty()) return error;
+  if (value < 0.0) return "negative \"wall_ms\"";
+  return "";
+}
 
 void PrintTables(const std::vector<std::string>& lines) {
   struct PerScheduler {
@@ -283,14 +332,35 @@ bool ParseChromeTrace(const std::string& path, ParsedTrace& out) {
                    std::istreambuf_iterator<char>());
   std::map<std::string, const std::string*> interned;
   const std::string pat = "{\"name\":\"";
+  // A malformed event fails the whole parse: a truncated or negative
+  // duration would otherwise be profiled as a default or negative time.
+  const auto reject = [&](std::size_t offset, const std::string& what) {
+    std::fprintf(stderr, "gl_report: %s: offset %zu: %s\n", path.c_str(),
+                 offset, what.c_str());
+    return false;
+  };
   std::size_t at = text.find(pat);
   while (at != std::string::npos) {
     const std::size_t next = text.find(pat, at + pat.size());
+    const std::size_t chunk_at = at;
     const std::string chunk =
         text.substr(at, (next == std::string::npos ? text.size() : next) - at);
     at = next;
+    if (chunk.find('}') == std::string::npos) {
+      return reject(chunk_at, "truncated event");
+    }
     if (chunk.find("\"ph\":\"X\"") == std::string::npos) continue;
     gl::obs::TraceEvent ev;
+    for (const char* key : {"ts", "dur"}) {
+      double value = 0.0;
+      std::size_t key_at = 0;
+      const std::string error = ReadNumber(chunk, key, 0, &value, &key_at);
+      if (!error.empty()) return reject(chunk_at + key_at, error);
+      if (value < 0.0) {
+        return reject(chunk_at + key_at,
+                      std::string("negative \"") + key + "\"");
+      }
+    }
     const std::string name = ExtractString(chunk, "name");
     auto it = interned.find(name);
     if (it == interned.end()) {
@@ -759,7 +829,17 @@ int main(int argc, char** argv) {
   if (mode == "tables") {
     if (argc != 3) return Usage();
     std::vector<std::string> lines;
-    if (!ReadLines(argv[2], lines)) return 1;
+    std::vector<int> numbers;
+    if (!ReadLines(argv[2], lines, &numbers)) return 1;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind(kSchemaPrefix, 0) != 0) continue;
+      const std::string error = ValidateEpochRecord(lines[i]);
+      if (!error.empty()) {
+        std::fprintf(stderr, "gl_report: %s:%d: %s\n", argv[2], numbers[i],
+                     error.c_str());
+        return 1;
+      }
+    }
     PrintTables(lines);
     return 0;
   }
