@@ -185,6 +185,12 @@ void InvariantAuditor::AuditTopology(const Topology& topo,
   for (int i = 0; i < n; ++i) {
     const NodeId id{i};
     const auto& node = topo.node(id);
+    // The path walker reads its own parent/depth table; it must agree.
+    const auto& hop = topo.path_hop(id);
+    if (hop.parent != node.parent) {
+      add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
+              "path-walker parent differs from the node's parent", {i});
+    }
     if (node.id != id) {
       add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
               "node id does not match its index", {i});
@@ -194,7 +200,7 @@ void InvariantAuditor::AuditTopology(const Topology& topo,
         add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
                 "root node has a parent", {i});
       }
-      if (node.depth != 0) {
+      if (hop.depth != 0) {
         add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
                 "root depth is not 0", {i});
       }
@@ -211,7 +217,7 @@ void InvariantAuditor::AuditTopology(const Topology& topo,
                 {i, node.parent.value()});
       }
       // Path walkers trust the stored depth to find the common ancestor.
-      if (node.depth != parent.depth + 1) {
+      if (hop.depth != topo.path_hop(node.parent).depth + 1) {
         add.Add(AuditSeverity::kError, AuditClass::kTopology, "topology",
                 "depth is not its parent's depth + 1",
                 {i, node.parent.value()});

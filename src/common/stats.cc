@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.h"
 
@@ -49,17 +50,16 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double Percentile(std::span<const double> xs, double p) {
   GOLDILOCKS_CHECK(p >= 0.0 && p <= 100.0);
   if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  // nth_element puts the lo-th order statistic at v[lo] and every larger
-  // one after it, so the next order statistic is their minimum.
-  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(v.begin(), at_lo, v.end());
-  const double v_lo = *at_lo;
-  const double v_hi = lo + 1 < v.size() ? *std::min_element(at_lo + 1, v.end())
-                                        : v_lo;
+  // Only the k = n − lo largest values matter: sorted descending, the last
+  // of them is the lo-th order statistic and the one before it the next.
+  std::vector<double> top(xs.size() - lo);
+  std::partial_sort_copy(xs.begin(), xs.end(), top.begin(), top.end(),
+                         std::greater<>());
+  const double v_lo = top.back();
+  const double v_hi = top.size() > 1 ? top[top.size() - 2] : v_lo;
   return v_lo + (v_hi - v_lo) * frac;
 }
 

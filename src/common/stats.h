@@ -33,7 +33,8 @@ class RunningStats {
 };
 
 // Percentile of a sample set with linear interpolation between order
-// statistics; p in [0, 100]. Copies and selects internally (O(n)).
+// statistics; p in [0, 100]. Selects the n − ⌊rank⌋ largest values into a
+// scratch copy: O(n log k), cheap for the tail percentiles callers ask for.
 double Percentile(std::span<const double> xs, double p);
 
 // Pearson correlation coefficient of two equal-length series. Returns 0 for

@@ -61,6 +61,9 @@ struct GoldilocksScheduler::PartitionCache {
   int epochs_since_partition = 0;
   std::vector<std::vector<ContainerId>> groups;  // in locality order
   std::vector<std::string> paths;                // recursion path per group
+  // WorkloadGraph::ExternalFractions of `groups`; empty until the grouping
+  // is first reused, cleared whenever `groups` or `graph` changes.
+  std::vector<double> fraction;
   // Server each group landed on last epoch (stability across reuse).
   std::vector<ServerId> group_server;
 };
@@ -87,8 +90,9 @@ std::uint64_t GoldilocksScheduler::StateDigest() const {
   return h.digest();
 }
 
-std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
-    const SchedulerInput& input, const WorkloadGraph& graph) {
+const std::vector<std::vector<ContainerId>>&
+GoldilocksScheduler::PartitionContainers(const SchedulerInput& input,
+                                         const WorkloadGraph& graph) {
   const auto& topo = *input.topology;
   const Resource avg_cap = topo.average_server_capacity();
   const Resource ceiling = CeilingFor(avg_cap, opts_);
@@ -108,9 +112,12 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
     // group has drifted grossly past a server — placement spills moderate
     // overflow container-by-container.
     const Resource drift_limit = ceiling * 1.5;
+    if (cache_->fraction.empty()) {
+      graph.ExternalFractions(cache_->groups, stamp, cache_->fraction);
+    }
     bool acceptable = true;
     for (const auto& group : cache_->groups) {
-      if (!graph.EffectiveDemand(group, input.demands, stamp)
+      if (!ColocatedDemand(group, input.demands, cache_->fraction)
                .FitsIn(drift_limit)) {
         acceptable = false;
         break;
@@ -228,9 +235,13 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
           best_old = old;
         }
       }
-      paths[static_cast<std::size_t>(gid)] =
-          best_old >= 0 ? cache_->paths[static_cast<std::size_t>(best_old)]
-                        : std::string("~") + std::to_string(gid);
+      auto& path = paths[static_cast<std::size_t>(gid)];
+      if (best_old >= 0) {
+        path = cache_->paths[static_cast<std::size_t>(best_old)];
+      } else {
+        path.assign(1, '~');
+        path += std::to_string(gid);
+      }
     }
     // Locality order: stable sort by inherited path.
     std::vector<std::size_t> idx(groups.size());
@@ -390,17 +401,18 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
   cache_->workload = input.workload;
   cache_->active_hash = active_hash;
   cache_->epochs_since_partition = 0;
-  cache_->groups = groups;
-  cache_->paths = paths;
-  cache_->group_server.assign(groups.size(), ServerId::invalid());
+  cache_->groups = std::move(groups);
+  cache_->paths = std::move(paths);
+  cache_->fraction.clear();
+  cache_->group_server.assign(cache_->groups.size(), ServerId::invalid());
   if (!prev_server_of.empty()) {
     // Majority vote over members' previous servers (ties to the lowest
     // server id). Placement treats the result as a preference, not a
     // booking: if two groups inherit one server, whichever places first
     // keeps it and the other falls through to first-fit.
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (std::size_t gi = 0; gi < cache_->groups.size(); ++gi) {
       std::unordered_map<int, int> votes;
-      for (const auto c : groups[gi]) {
+      for (const auto c : cache_->groups[gi]) {
         const ServerId s = prev_server_of[static_cast<std::size_t>(c.value())];
         if (s.valid()) ++votes[s.value()];
       }
@@ -415,7 +427,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
       if (best_server >= 0) cache_->group_server[gi] = ServerId(best_server);
     }
   }
-  return groups;
+  return cache_->groups;
 }
 
 Placement GoldilocksScheduler::AssignGroupsSymmetric(
@@ -487,12 +499,10 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     return true;
   };
 
-  auto place_on = [&](const std::vector<ContainerId>& group, ServerId s,
-                      std::size_t gi) {
-    // Book the *effective* demand: colocated traffic never hits the NIC.
-    // CPU and memory are booked per container (exact).
-    const Resource eff =
-        graph.EffectiveDemand(group, input.demands, stamp);
+  // Books the group's *effective* demand `eff`: colocated traffic never
+  // hits the NIC. CPU and memory are booked per container (exact).
+  auto place_on = [&](const std::vector<ContainerId>& group,
+                      const Resource& eff, ServerId s, std::size_t gi) {
     state.Add(s, eff);
     for (const auto c : group) {
       p.server_of[static_cast<std::size_t>(c.value())] = s;
@@ -530,7 +540,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
           .net_mbps = cap.net_mbps * opts_.stability_ceiling};
       if ((state.load(prev) + eff).FitsIn(stay_limit) &&
           allowed(gi, prev, 0)) {
-        place_on(group, prev, gi);
+        place_on(group, eff, prev, gi);
         continue;
       }
     }
@@ -552,7 +562,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
       if (group_sets[gi].empty()) break;  // passes only differ for replicas
     }
     if (chosen.valid()) {
-      place_on(group, chosen, gi);
+      place_on(group, eff, chosen, gi);
       continue;
     }
     // The group fits no single server (demands grew since partitioning, or
@@ -586,9 +596,10 @@ Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   GOLDILOCKS_CHECK(input.workload != nullptr && input.topology != nullptr);
   if (!cache_->graph || !cache_->graph->BuiltFrom(*input.workload)) {
     cache_->graph.emplace(*input.workload);
+    cache_->fraction.clear();
   }
   const WorkloadGraph& graph = *cache_->graph;
-  const auto groups = PartitionContainers(input, graph);
+  const auto& groups = PartitionContainers(input, graph);
 
   // Record the grouping for inspection (Fig. 7).
   last_grouping_.assign(input.workload->containers.size(), -1);

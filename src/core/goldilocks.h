@@ -89,8 +89,8 @@ class GoldilocksScheduler final : public Scheduler {
   struct PartitionCache;
 
   // Returns groups as container-id lists, in the order they should be laid
-  // onto servers.
-  std::vector<std::vector<ContainerId>> PartitionContainers(
+  // onto servers: the cached grouping, valid until the next call.
+  const std::vector<std::vector<ContainerId>>& PartitionContainers(
       const SchedulerInput& input, const WorkloadGraph& graph);
 
   Placement AssignGroupsSymmetric(

@@ -150,6 +150,35 @@ void WorkloadGraph::Compact(std::span<const Resource> demands,
   edges.Add(anti_affinity_edges);
 }
 
+namespace {
+
+// One member's term of a colocated group's demand; EffectiveDemand and
+// ColocatedDemand both add with it.
+void AddColocated(Resource& out, const Resource& d,
+                  double fraction GL_UNITS(dimensionless)) {
+  out.cpu += d.cpu;
+  out.mem_gb += d.mem_gb;
+  out.net_mbps += d.net_mbps * fraction;
+}
+
+}  // namespace
+
+double WorkloadGraph::ExternalFraction(std::size_t ci,
+                                       const MembershipStamp& stamp) const {
+  const double total GL_UNITS(count) = flow_total_[ci];
+  // Full network demand (d · 1 == d exactly) without modelled flows.
+  if (total <= 0.0) return 1.0;
+  // Positive flows to non-members, in edge order (a self-loop's peer is
+  // always a member, so leaving loops out changes no sum).
+  double external GL_UNITS(count) = 0.0;
+  for (std::size_t k = edge_row_[ci]; k < edge_row_[ci + 1]; ++k) {
+    if (edge_w_[k] > 0.0 && !stamp.Contains(edge_peer_[k])) {
+      external += edge_w_[k];
+    }
+  }
+  return external / total;
+}
+
 Resource WorkloadGraph::EffectiveDemand(std::span<const ContainerId> members,
                                         std::span<const Resource> demands,
                                         MembershipStamp& stamp) const {
@@ -157,23 +186,31 @@ Resource WorkloadGraph::EffectiveDemand(std::span<const ContainerId> members,
   Resource out;
   for (const auto c : members) {
     const auto ci = static_cast<std::size_t>(c.value());
-    const Resource& d = demands[ci];
-    out.cpu += d.cpu;
-    out.mem_gb += d.mem_gb;
-    const double total GL_UNITS(count) = flow_total_[ci];
-    if (total <= 0.0) {
-      out.net_mbps += d.net_mbps;
-      continue;
+    AddColocated(out, demands[ci], ExternalFraction(ci, stamp));
+  }
+  return out;
+}
+
+void WorkloadGraph::ExternalFractions(
+    const std::vector<std::vector<ContainerId>>& groups,
+    MembershipStamp& stamp, std::vector<double>& fraction) const {
+  fraction.assign(order_.size(), 0.0);
+  for (const auto& group : groups) {
+    stamp.Begin(group);
+    for (const auto c : group) {
+      const auto ci = static_cast<std::size_t>(c.value());
+      fraction[ci] = ExternalFraction(ci, stamp);
     }
-    // Positive flows to non-members, in edge order (a self-loop's peer is
-    // always a member, so leaving loops out changes no sum).
-    double external GL_UNITS(count) = 0.0;
-    for (std::size_t k = edge_row_[ci]; k < edge_row_[ci + 1]; ++k) {
-      if (edge_w_[k] > 0.0 && !stamp.Contains(edge_peer_[k])) {
-        external += edge_w_[k];
-      }
-    }
-    out.net_mbps += d.net_mbps * (external / total);
+  }
+}
+
+Resource ColocatedDemand(std::span<const ContainerId> members,
+                         std::span<const Resource> demands,
+                         std::span<const double> fraction) {
+  Resource out;
+  for (const auto c : members) {
+    const auto ci = static_cast<std::size_t>(c.value());
+    AddColocated(out, demands[ci], fraction[ci]);
   }
   return out;
 }

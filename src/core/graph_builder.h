@@ -94,6 +94,14 @@ class WorkloadGraph {
                                          std::span<const Resource> demands,
                                          MembershipStamp& stamp) const;
 
+  // The factor EffectiveDemand scales each member's network demand by (its
+  // external flow fraction, 1 without modelled flows), for every member of
+  // `groups`, written at the member's container id. It depends on
+  // membership only, so a grouping that is kept pays for it once.
+  void ExternalFractions(const std::vector<std::vector<ContainerId>>& groups,
+                         MembershipStamp& stamp,
+                         std::vector<double>& fraction) const;
+
  private:
   const Workload* source_;  // identity only, never dereferenced
   std::size_t num_edges_;
@@ -111,7 +119,16 @@ class WorkloadGraph {
   // Replica set s is replica_members_[replica_sets_[s], replica_sets_[s+1]).
   std::vector<std::int32_t> replica_members_;
   std::vector<std::size_t> replica_sets_;
+
+  [[nodiscard]] double ExternalFraction(std::size_t container,
+                                        const MembershipStamp& stamp) const;
 };
+
+// EffectiveDemand of `members` from ExternalFractions of a grouping that
+// contains them as one group: the same sums in the same order, bit for bit.
+[[nodiscard]] Resource ColocatedDemand(std::span<const ContainerId> members,
+                                       std::span<const Resource> demands,
+                                       std::span<const double> fraction);
 
 // The container graph of one epoch as a Graph (tests, benches and the
 // epoch benchmark's replica): a WorkloadGraph compacted under `active`.

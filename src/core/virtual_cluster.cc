@@ -15,12 +15,29 @@ VirtualClusterPlacer::VirtualClusterPlacer(const Topology& topo,
   const auto num_nodes = static_cast<std::size_t>(topo.num_nodes());
   loads_.resize(num_servers);
   ceilings_.reserve(num_servers);
+  room_.resize(num_nodes);
+  slack_.resize(num_nodes);
   for (int s = 0; s < topo.num_servers(); ++s) {
     const Resource& cap = topo.server_capacity(ServerId{s});
-    ceilings_.push_back(
-        Resource{.cpu = cap.cpu * opts_.pee_utilization,
-                 .mem_gb = cap.mem_gb * opts_.memory_ceiling,
-                 .net_mbps = cap.net_mbps * opts_.pee_utilization});
+    const Resource ceiling{.cpu = cap.cpu * opts_.pee_utilization,
+                           .mem_gb = cap.mem_gb * opts_.memory_ceiling,
+                           .net_mbps = cap.net_mbps * opts_.pee_utilization};
+    ceilings_.push_back(ceiling);
+    const auto leaf =
+        static_cast<std::size_t>(topo.server_node(ServerId{s}).value());
+    room_[leaf] = ceiling;
+    slack_[leaf] = ceiling * kResourceEps + Resource{kResourceEps,
+                                                      kResourceEps,
+                                                      kResourceEps};
+  }
+  // Subtree sums bottom-up: a node is always added after its parent.
+  for (int n = topo.num_nodes() - 1; n >= 0; --n) {
+    const NodeId parent = topo.path_hop(NodeId{n}).parent;
+    if (!parent.valid()) continue;
+    room_[static_cast<std::size_t>(parent.value())] +=
+        room_[static_cast<std::size_t>(n)];
+    slack_[static_cast<std::size_t>(parent.value())] +=
+        slack_[static_cast<std::size_t>(n)];
   }
   // At least levels 0 and 1: the split path walks the racks.
   nodes_at_level_.resize(
@@ -43,10 +60,28 @@ const std::vector<ServerId>& VirtualClusterPlacer::ServersCached(
   return servers;
 }
 
+// Subtree bound: a fill that succeeds puts each container on a server
+// whose load then passes WithinCap, i.e. stays at most ceiling·(1+ε)+ε, and
+// every server it leaves alone already is (loads_ grow only through such
+// fills). Summed over the subtree, per dimension, the probe's total demand
+// is therefore at most Σ (ceiling − load) + Σ (ceiling·ε + ε) = room +
+// slack: the scan fails on any probe above it. The sums are floating
+// point. room_, the group total and each WithinCap test add up fewer than
+// 10⁶ terms no larger than Σ ceiling, so their rounding stays below
+// 10⁶·2⁻⁵³·Σ ceiling < 10⁻³·slack (slack ≥ ε·Σ ceiling), and the bound
+// allows that much more. It only ever rejects probes the scan would fail.
 bool VirtualClusterPlacer::TryFill(std::span<const ContainerId> containers,
                                    std::span<const Resource> demands,
-                                   NodeId subtree, Tentative& out) {
+                                   const Resource& total, NodeId subtree,
+                                   Tentative& out) {
   out.assignment.clear();
+  const auto ni = static_cast<std::size_t>(subtree.value());
+  const Resource bound = room_[ni] + slack_[ni] * (1.0 + 1e-3);
+  if (total.cpu > bound.cpu || total.mem_gb > bound.mem_gb ||
+      total.net_mbps > bound.net_mbps) {
+    ++stats_.subtree_bound_rejections;
+    return false;
+  }
   const auto& servers = ServersCached(subtree);
   bool all_placed = true;
   for (const auto c : containers) {
@@ -135,7 +170,7 @@ bool VirtualClusterPlacer::BandwidthFeasible(
     const double bw GL_UNITS(bits_per_sec) =
         demands[static_cast<std::size_t>(c.value())].net_mbps;
     for (NodeId n = topo_.server_node(s); n.valid();
-         n = topo_.node(n).parent) {
+         n = topo_.path_hop(n).parent) {
       delta_.Add(n.value(), bw);
     }
   }
@@ -143,7 +178,7 @@ bool VirtualClusterPlacer::BandwidthFeasible(
   // on the order the nodes are checked in.
   for (const int node_value : delta_.touched()) {
     const NodeId n{node_value};
-    if (!topo_.node(n).parent.valid()) continue;  // root has no uplink
+    if (!topo_.path_hop(n).parent.valid()) continue;  // root has no uplink
     const double need GL_UNITS(bits_per_sec) =
         ReservationWith(n, g, delta_.Get(node_value), extra_total);
     if (!WithinCap(need, topo_.uplink_capacity(n))) return false;
@@ -162,22 +197,22 @@ void VirtualClusterPlacer::Commit(int g, const Tentative& t,
   }
   for (const auto& [c, s] : t.assignment) {
     const auto ci = static_cast<std::size_t>(c.value());
-    loads_[static_cast<std::size_t>(s.value())] += demands[ci];
+    const Resource& d = demands[ci];
+    loads_[static_cast<std::size_t>(s.value())] += d;
     placement.server_of[ci] = s;
-    const double bw GL_UNITS(bits_per_sec) = demands[ci].net_mbps;
     for (NodeId n = topo_.server_node(s); n.valid();
-         n = topo_.node(n).parent) {
+         n = topo_.path_hop(n).parent) {
       const auto ni = static_cast<std::size_t>(n.value());
+      room_[ni] -= d;
+      // Groups commit in ascending order, so g's entry is the last one or
+      // does not exist yet.
       auto& entries = node_groups_[ni];
-      auto it = std::lower_bound(entries.begin(), entries.end(), g,
-                                 [](const std::pair<int, double>& e, int key) {
-                                   return e.first < key;
-                                 });
-      if (it == entries.end() || it->first != g) {
-        it = entries.insert(it, {g, 0.0});
+      GOLDILOCKS_CHECK(entries.empty() || entries.back().first <= g);
+      if (entries.empty() || entries.back().first != g) {
+        entries.emplace_back(g, 0.0);
       }
-      it->second += bw;
-      p_sum_[ni] += bw;
+      entries.back().second += d.net_mbps;
+      p_sum_[ni] += d.net_mbps;
     }
   }
 }
@@ -207,6 +242,10 @@ Placement VirtualClusterPlacer::PlaceGroups(
   for (int g = 0; g < num_groups; ++g) {
     const auto& group = groups[static_cast<std::size_t>(g)];
     if (group.empty()) continue;
+    Resource total;
+    for (const auto c : group) {
+      total += demands[static_cast<std::size_t>(c.value())];
+    }
 
     // Try the smallest left-most subtree that can host the whole group.
     bool placed_whole = false;
@@ -214,7 +253,7 @@ Placement VirtualClusterPlacer::PlaceGroups(
          ++level) {
       for (const auto node :
            nodes_at_level_[static_cast<std::size_t>(level)]) {
-        if (!TryFill(group, demands, node, t)) continue;
+        if (!TryFill(group, demands, total, node, t)) continue;
         if (!BandwidthFeasible(g, t, demands)) continue;
         Commit(g, t, demands, placement);
         placed_whole = true;
@@ -231,12 +270,13 @@ Placement VirtualClusterPlacer::PlaceGroups(
     // as a violation — the paper grows the active set by a pod instead).
     ++stats_.groups_split;
     for (const auto c : group) {
+      const ContainerId one[] = {c};
+      const Resource& d = demands[static_cast<std::size_t>(c.value())];
       bool done = false;
       for (int pass = 0; pass < 2 && !done; ++pass) {
         const bool check_bw = pass == 0;
         for (const auto rack : nodes_at_level_[1]) {
-          const ContainerId one[] = {c};
-          if (!TryFill(one, demands, rack, t)) continue;
+          if (!TryFill(one, demands, d, rack, t)) continue;
           if (check_bw && !BandwidthFeasible(g, t, demands)) continue;
           if (!check_bw) ++stats_.bandwidth_violations;
           Commit(g, t, demands, placement);
@@ -253,9 +293,12 @@ Placement VirtualClusterPlacer::PlaceGroups(
       "vc.groups_split", obs::MetricKind::kDeterministic);
   static obs::Counter& bw = obs::MetricsRegistry::Global().GetCounter(
       "vc.bandwidth_violations", obs::MetricKind::kDeterministic);
+  static obs::Counter& bound = obs::MetricsRegistry::Global().GetCounter(
+      "vc.subtree_bound_rejections", obs::MetricKind::kDeterministic);
   whole.Add(static_cast<std::uint64_t>(stats_.groups_placed_whole));
   split.Add(static_cast<std::uint64_t>(stats_.groups_split));
   bw.Add(static_cast<std::uint64_t>(stats_.bandwidth_violations));
+  bound.Add(static_cast<std::uint64_t>(stats_.subtree_bound_rejections));
   return placement;
 }
 

@@ -38,6 +38,7 @@ struct VirtualClusterStats {
   int groups_split = 0;          // spilled across subtrees
   int bandwidth_violations = 0;  // containers placed despite an infeasible
                                  // reservation (placement never fails hard)
+  int subtree_bound_rejections = 0;  // probes rejected without a scan
 };
 
 class VirtualClusterPlacer {
@@ -62,12 +63,13 @@ class VirtualClusterPlacer {
 
   [[nodiscard]] const std::vector<ServerId>& ServersCached(NodeId subtree);
 
-  // Greedy fill of `containers` into servers under `subtree`; returns true
-  // and the assignment if every container fits (capacity only). Allocates
-  // nothing once `out` has grown to the group size.
+  // Greedy fill of `containers` (whose demands sum to `total`) into servers
+  // under `subtree`; returns true and the assignment if every container
+  // fits (capacity only). Allocates nothing once `out` has grown to the
+  // group size.
   bool TryFill(std::span<const ContainerId> containers,
-               std::span<const Resource> demands, NodeId subtree,
-               Tentative& out);
+               std::span<const Resource> demands, const Resource& total,
+               NodeId subtree, Tentative& out);
 
   // Reservation Σ_g R_g(n) on node n's uplink, with a tentative b_in delta
   // `d_in` applied to node n for group `g_extra` (-1 for none).
@@ -88,6 +90,11 @@ class VirtualClusterPlacer {
 
   std::vector<Resource> loads_;     // per server
   std::vector<Resource> ceilings_;  // per server: the PEE packing ceiling
+  // Per node, over the servers under it: Σ (ceiling − load), kept by
+  // Commit, and Σ (ceiling·ε + ε), the most WithinCap lets loads exceed
+  // the ceilings by. TryFill's O(1) subtree bound reads both.
+  std::vector<Resource> room_;
+  std::vector<Resource> slack_;
   // Switch nodes per level (index = level), left-to-right.
   std::vector<std::vector<NodeId>> nodes_at_level_;
   // TryFill scratch: tentative load per server of the current probe, valid

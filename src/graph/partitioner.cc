@@ -757,6 +757,8 @@ struct RangeCtx {
 void ExtractSub(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
                 CsrGraph& sub) {
   GOLDILOCKS_CHECK(lo <= hi && hi <= ctx.perm.size());
+  // arg = vertices in the range.
+  obs::TraceSpan span("partition.extract", static_cast<std::int64_t>(hi - lo));
   sub.BeginBuild(static_cast<VertexIndex>(hi - lo), 0);
   for (std::size_t pos = lo; pos < hi; ++pos) {
     const auto v = ctx.perm[pos];

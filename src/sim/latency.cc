@@ -38,17 +38,20 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
                                    std::span<const Resource> demands,
                                    std::span<const std::uint8_t> active,
                                    const TrafficEstimate& traffic) const {
+  GOLDILOCKS_CHECK_EQ(placement.server_of.size(), workload.containers.size());
   // Server busyness: CPU share and NIC share (cross-server traffic only —
   // colocated chatter costs no NIC), whichever dominates.
   const int num_servers = topo_.num_servers();
   std::vector<double> cpu_load GL_UNITS(cores)(static_cast<std::size_t>(num_servers), 0.0);
   for (std::size_t i = 0; i < workload.containers.size(); ++i) {
-    const auto s = placement.server_of.size() > i ? placement.server_of[i]
-                                                  : ServerId::invalid();
+    const auto s = placement.server_of[i];
     if (!s.valid() || !active[i]) continue;
     cpu_load[static_cast<std::size_t>(s.value())] += demands[i].cpu;
   }
-  std::vector<double> server_utilization GL_UNITS(dimensionless)(
+  // Queueing factor of each server's busyness. QueueFactor is
+  // non-decreasing, so the factor of the busier endpoint is the larger of
+  // the two endpoints' factors, bit for bit.
+  std::vector<double> queue_factor GL_UNITS(dimensionless)(
       static_cast<std::size_t>(num_servers));
   for (int si = 0; si < num_servers; ++si) {
     const ServerId s{si};
@@ -57,7 +60,8 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
         cap.cpu > 0.0 ? cpu_load[static_cast<std::size_t>(si)] / cap.cpu
                       : 0.0;
     const double nic_u = traffic.UplinkUtilization(topo_, topo_.server_node(s));
-    server_utilization[static_cast<std::size_t>(si)] = std::max(cpu_u, nic_u);
+    queue_factor[static_cast<std::size_t>(si)] =
+        QueueFactor(std::max(cpu_u, nic_u));
   }
   // One-way latency of each node's uplink hop, inflated by its congestion.
   std::vector<double> hop_ms GL_UNITS(ms)(
@@ -68,8 +72,16 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
         CongestionFactor(traffic.UplinkUtilization(topo_, NodeId{n}));
   }
 
+  // Unloaded service time per application type.
+  std::vector<double> service_ms GL_UNITS(ms)(AllAppProfiles().size());
+  for (const auto& profile : AllAppProfiles()) {
+    service_ms[static_cast<std::size_t>(profile.type)] =
+        profile.base_service_ms;
+  }
+
   TctResult result;
   std::vector<double> samples GL_UNITS(ms);
+  samples.reserve(workload.edges.size());
   double weighted_sum = 0.0;
   double weight_total GL_UNITS(count) = 0.0;
   int violations = 0;
@@ -83,11 +95,10 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
     const ServerId sb = placement.server_of[ib];
     if (!sa.valid() || !sb.valid()) continue;
 
-    const AppProfile& responder = GetAppProfile(workload.containers[ib].app);
-    const double u GL_UNITS(dimensionless) =
-        std::max(server_utilization[static_cast<std::size_t>(sa.value())],
-                 server_utilization[static_cast<std::size_t>(sb.value())]);
-    double tct GL_UNITS(ms) = responder.base_service_ms * QueueFactor(u);
+    double tct GL_UNITS(ms) =
+        service_ms[static_cast<std::size_t>(workload.containers[ib].app)] *
+        std::max(queue_factor[static_cast<std::size_t>(sa.value())],
+                 queue_factor[static_cast<std::size_t>(sb.value())]);
 
     // Network round trip: hop latency inflated by per-link congestion.
     if (sa != sb) {

@@ -15,17 +15,19 @@ NodeId Topology::AddSwitchNode(NodeId parent, int level, double uplink_mbps,
   n.uplink_capacity_mbps = uplink_mbps;
   n.physical_switches = physical_switches;
   n.physical_uplinks = physical_uplinks;
+  PathHop hop{.parent = parent};
   if (parent.valid()) {
     Node& p = nodes_[CheckedNode(parent)];
     p.children.push_back(id);
     GOLDILOCKS_CHECK_MSG(level < p.level,
                          "child level must be below parent level");
-    n.depth = p.depth + 1;
+    hop.depth = hops_[CheckedNode(parent)].depth + 1;
   } else {
     GOLDILOCKS_CHECK_MSG(!root_.valid(), "topology already has a root");
     root_ = id;
   }
   nodes_.push_back(std::move(n));
+  hops_.push_back(hop);
   num_levels_ = std::max(num_levels_, level + 1);
   return id;
 }
@@ -43,8 +45,9 @@ ServerId Topology::AddServer(NodeId rack, const Resource& capacity) {
   n.server = sid;
   Node& r = nodes_[CheckedNode(rack)];
   r.children.push_back(node_id);
-  n.depth = r.depth + 1;
   nodes_.push_back(std::move(n));
+  hops_.push_back(
+      {.parent = rack, .depth = hops_[CheckedNode(rack)].depth + 1});
   server_nodes_.push_back(node_id);
   server_capacity_.push_back(capacity);
   return sid;

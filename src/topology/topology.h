@@ -32,7 +32,6 @@ class Topology {
     NodeId parent = NodeId::invalid();
     std::vector<NodeId> children;
     int level = 0;  // 0 = server; increases toward the root
-    int depth = 0;  // links to the root (0 for the root), set when added
     // Aggregate capacity of all physical uplinks toward the parent (Mbps).
     double uplink_capacity_mbps GL_UNITS(bits_per_sec) = 0.0;
     // Bandwidth currently reserved on that uplink by placed Virtual Clusters.
@@ -42,6 +41,13 @@ class Topology {
     // Physical links the uplink bundle stands for.
     int physical_uplinks = 0;
     ServerId server = ServerId::invalid();  // valid iff level == 0
+  };
+
+  // What the tree-path walker reads per node, kept apart from the Node so
+  // a walk touches 8 bytes per hop. `parent` mirrors Node::parent.
+  struct PathHop {
+    NodeId parent = NodeId::invalid();
+    int depth = 0;  // links to the root (0 for the root), set when added
   };
 
   // --- construction -------------------------------------------------------
@@ -101,6 +107,9 @@ class Topology {
   [[nodiscard]] const Node& node(NodeId id) const {
     return nodes_[CheckedNode(id)];
   }
+  [[nodiscard]] const PathHop& path_hop(NodeId id) const {
+    return hops_[CheckedNode(id)];
+  }
   [[nodiscard]] NodeId root() const { return root_; }
   [[nodiscard]] int num_nodes() const {
     return static_cast<int>(nodes_.size());
@@ -138,25 +147,25 @@ class Topology {
   void ForEachPathUplink(ServerId a, ServerId b, Fn&& fn) const {
     NodeId na = server_node(a);
     NodeId nb = server_node(b);
-    const Node* pa = &nodes_[CheckedNode(na)];
-    const Node* pb = &nodes_[CheckedNode(nb)];
+    const PathHop* pa = &hops_[CheckedNode(na)];
+    const PathHop* pb = &hops_[CheckedNode(nb)];
     while (pa->depth > pb->depth) {
       fn(na, true);
       na = pa->parent;
-      pa = &nodes_[CheckedNode(na)];
+      pa = &hops_[CheckedNode(na)];
     }
     while (pb->depth > pa->depth) {
       fn(nb, false);
       nb = pb->parent;
-      pb = &nodes_[CheckedNode(nb)];
+      pb = &hops_[CheckedNode(nb)];
     }
     while (na != nb) {
       fn(na, true);
       fn(nb, false);
       na = pa->parent;
       nb = pb->parent;
-      pa = &nodes_[CheckedNode(na)];
-      pb = &nodes_[CheckedNode(nb)];
+      pa = &hops_[CheckedNode(na)];
+      pb = &hops_[CheckedNode(nb)];
     }
   }
 
@@ -203,6 +212,7 @@ class Topology {
   }
 
   std::vector<Node> nodes_;
+  std::vector<PathHop> hops_;  // per node, beside nodes_
   std::vector<NodeId> server_nodes_;    // ServerId → leaf node
   std::vector<Resource> server_capacity_;
   NodeId root_ = NodeId::invalid();

@@ -264,10 +264,15 @@ TEST(InvariantAuditor, DetectsGraphCorruption) {
   EXPECT_TRUE(r3.Has(AuditClass::kGraph)) << r3.ToString();
 }
 
-// Overwrites a node's cached depth; the object is non-const, so writing
-// through the const_cast reference is well-defined.
+// Overwrites the depth the path walker reads for a node; the object is
+// non-const, so writing through the const_cast reference is well-defined.
 void CorruptDepth(Topology& topo, NodeId id, int delta) {
-  const_cast<Topology::Node&>(topo.node(id)).depth += delta;
+  const_cast<Topology::PathHop&>(topo.path_hop(id)).depth += delta;
+}
+
+// Points the walker's copy of a node's parent elsewhere, as above.
+void CorruptHopParent(Topology& topo, NodeId id, NodeId parent) {
+  const_cast<Topology::PathHop&>(topo.path_hop(id)).parent = parent;
 }
 
 TEST(InvariantAuditor, DetectsTopologyCorruption) {
@@ -293,6 +298,19 @@ TEST(InvariantAuditor, DetectsTopologyCorruption) {
   AuditReport r3;
   auditor.AuditTopology(root_depth, r3);
   EXPECT_TRUE(r3.Has(AuditClass::kTopology)) << r3.ToString();
+
+  Topology leaf_depth = Topology::Testbed16();
+  CorruptDepth(leaf_depth, leaf_depth.server_node(ServerId{5}), -1);
+  AuditReport r4;
+  auditor.AuditTopology(leaf_depth, r4);
+  EXPECT_TRUE(r4.Has(AuditClass::kTopology)) << r4.ToString();
+
+  Topology hop_parent = Topology::Testbed16();
+  CorruptHopParent(hop_parent, hop_parent.server_node(ServerId{5}),
+                   hop_parent.root());
+  AuditReport r5;
+  auditor.AuditTopology(hop_parent, r5);
+  EXPECT_TRUE(r5.Has(AuditClass::kTopology)) << r5.ToString();
 }
 
 TEST(InvariantAuditor, ShippedPowerModelsAreClean) {

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "graph/graph.h"
+#include "graph/partitioner.h"
 #include "graph/scratch.h"
 #include "obs/memory.h"
 #include "obs/trace.h"
@@ -267,6 +269,48 @@ TEST(ProfileTest, SerialRunNestsSpansUnderTheOuterSpan) {
   ASSERT_EQ(outer.children[0].children.size(), 1u);
   EXPECT_EQ(outer.children[0].children[0].name, "work.inner");
   EXPECT_EQ(outer.children[0].children[0].count, 4u);
+}
+
+// Finds the first node named `name` in a depth-first walk, or nullptr.
+const obs::ProfileNode* FindNode(const obs::ProfileNode& n,
+                                 const std::string& name) {
+  if (n.name == name) return &n;
+  for (const auto& child : n.children) {
+    if (const auto* found = FindNode(child, name)) return found;
+  }
+  return nullptr;
+}
+
+// Every split's CSR extraction is its own span under partition.split, so
+// the profile attributes it instead of leaving it in the split's self time.
+TEST(ProfileTest, PartitionSplitAttributesExtraction) {
+  Graph g;
+  for (int i = 0; i < 64; ++i) {
+    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  }
+  for (int i = 0; i < 64; ++i) g.AddEdge(i, (i + 1) % 64, 1.0);
+  obs::Trace trace;
+  trace.Activate();
+  const auto r = RecursivePartition(
+      g, [](const Resource& d, int) { return d.cpu <= 10.0; }, {});
+  trace.Deactivate();
+  ASSERT_GE(r.num_groups, 7);
+  const obs::Profile p = obs::BuildProfile(trace.Events());
+  const obs::ProfileNode* split = FindNode(p.root, "partition.split");
+  ASSERT_NE(split, nullptr);
+  const auto extract = std::find_if(
+      split->children.begin(), split->children.end(),
+      [](const obs::ProfileNode& c) { return c.name == "partition.extract"; });
+  ASSERT_NE(extract, split->children.end());
+  EXPECT_EQ(extract->count, split->count);
+  std::uint64_t splits = 0;
+  std::uint64_t extracts = 0;
+  for (const auto& e : p.flat) {
+    if (e.name == "partition.split") splits = e.count;
+    if (e.name == "partition.extract") extracts = e.count;
+  }
+  EXPECT_EQ(extracts, splits);
+  EXPECT_EQ(splits, static_cast<std::uint64_t>(r.num_groups - 1));
 }
 
 // --- memory observability ---------------------------------------------------

@@ -1,5 +1,12 @@
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/goldilocks.h"
 #include "schedulers/e_pvm.h"
 #include "sim/latency.h"
@@ -110,6 +117,54 @@ TEST(Latency, QueueFactorShape) {
   EXPECT_LE(m.QueueFactor(1.5), opts.max_queue_factor);
 }
 
+// ComputeTct prices a query by the larger of its two endpoints' queueing
+// factors instead of the factor of the larger utilization. The two agree
+// bit for bit only if QueueFactor never decreases; check that on a dense
+// grid through u <= 0, the 0.999 clamp, the max_queue_factor cap and
+// random utilizations, with and without the cap.
+TEST(Latency, QueueFactorIsMonotoneBitForBit) {
+  const Topology topo = Topology::Testbed16();
+  LatencyOptions uncapped;
+  uncapped.max_queue_factor = 1e300;
+  for (const LatencyOptions& opts : {LatencyOptions{}, uncapped}) {
+    const LatencyModel m(topo, opts);
+    std::vector<double> us = {-0.0, 0.0, 5e-324, -5e-324, 1e-300};
+    for (int i = -200; i <= 1500; ++i) us.push_back(i * 1e-3);
+    // Every double within 256 ulps of a point, and a 1e-9 grid around it.
+    const auto dense_around = [&us](double x) {
+      double up = x, down = x;
+      for (int k = 0; k < 256; ++k) {
+        us.push_back(up = std::nextafter(up, 2.0));
+        us.push_back(down = std::nextafter(down, -2.0));
+      }
+      for (int i = -1000; i <= 1000; ++i) us.push_back(x + i * 1e-9);
+    };
+    dense_around(0.999 / (1.0 + opts.burst_amplification));  // the clamp
+    // Where the factor first reaches its cap (bisection on the model).
+    double lo = 0.0, hi = 1.5;
+    for (int k = 0; k < 200; ++k) {
+      const double mid = 0.5 * (lo + hi);
+      (m.QueueFactor(mid) < opts.max_queue_factor ? lo : hi) = mid;
+    }
+    dense_around(hi);
+    Rng rng(0x9f1e);
+    for (int i = 0; i < 20000; ++i) us.push_back(rng.Uniform(0.0, 1.5));
+    std::sort(us.begin(), us.end());
+    for (std::size_t i = 0; i + 1 < us.size(); ++i) {
+      ASSERT_LE(m.QueueFactor(us[i]), m.QueueFactor(us[i + 1]))
+          << "u=" << us[i] << " next=" << us[i + 1];
+    }
+    for (int i = 0; i < 20000; ++i) {
+      const double a = us[rng.NextBelow(us.size())];
+      const double b = us[rng.NextBelow(us.size())];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(m.QueueFactor(std::max(a, b))),
+                std::bit_cast<std::uint64_t>(
+                    std::max(m.QueueFactor(a), m.QueueFactor(b))))
+          << "a=" << a << " b=" << b;
+    }
+  }
+}
+
 TEST(Latency, CongestionFactorShape) {
   Topology topo = Topology::Testbed16();
   LatencyModel m(topo);
@@ -186,6 +241,34 @@ TEST(Latency, NonQueryEdgesIgnored) {
   const auto r = m.ComputeTct(w, p, demands, active, t);
   EXPECT_EQ(r.query_edges, 0);
   EXPECT_DOUBLE_EQ(r.mean_ms, 0.0);
+}
+
+// Both accounting kernels index placement.server_of by container id, so a
+// placement shorter than the workload is a caller bug they refuse.
+TEST(AccountingDeathTest, ShortPlacementIsRejected) {
+  Topology topo = Topology::LeafSpine(2, 2, 1, kCap, 1000.0);
+  Workload w;
+  for (int i = 0; i < 2; ++i) {
+    Container c;
+    c.id = ContainerId{i};
+    w.containers.push_back(c);
+  }
+  w.edges.push_back({ContainerId{0}, ContainerId{1}, 10.0, true});
+  std::vector<Resource> demands(2, {.cpu = 10, .mem_gb = 1, .net_mbps = 5});
+  std::vector<std::uint8_t> active(2, 1);
+  Placement full;
+  full.server_of = {ServerId{0}, ServerId{1}};
+  Placement short_placement;
+  short_placement.server_of = {ServerId{0}};
+  const LatencyModel m(topo);
+  const auto t = EstimateTraffic(w, full, demands, active, topo);
+  EXPECT_DEATH(
+      static_cast<void>(EstimateTraffic(w, short_placement, demands, active,
+                                        topo)),
+      "CHECK failed");
+  EXPECT_DEATH(static_cast<void>(m.ComputeTct(w, short_placement, demands,
+                                              active, t)),
+               "CHECK failed");
 }
 
 // --- migration cost --------------------------------------------------------------------

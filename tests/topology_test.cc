@@ -183,9 +183,11 @@ TEST(TopologyDepth, MatchesParentChainForEveryFactory) {
       Topology::Vl2(8, kCap),
   };
   for (const auto& t : topologies) {
-    EXPECT_EQ(t.node(t.root()).depth, 0);
+    EXPECT_EQ(t.path_hop(t.root()).depth, 0);
     for (int i = 0; i < t.num_nodes(); ++i) {
-      EXPECT_EQ(t.node(NodeId{i}).depth, ParentChainDepth(t, NodeId{i}))
+      EXPECT_EQ(t.path_hop(NodeId{i}).depth, ParentChainDepth(t, NodeId{i}))
+          << "node " << i;
+      EXPECT_EQ(t.path_hop(NodeId{i}).parent, t.node(NodeId{i}).parent)
           << "node " << i;
     }
   }
@@ -251,7 +253,7 @@ TEST(PathWalker, UnevenTreeHasServersAtEveryDepth) {
   ASSERT_EQ(t.num_servers(), 8);
   std::set<int> depths;
   for (int s = 0; s < t.num_servers(); ++s) {
-    depths.insert(t.node(t.server_node(ServerId{s})).depth);
+    depths.insert(t.path_hop(t.server_node(ServerId{s})).depth);
   }
   EXPECT_EQ(depths, (std::set<int>{1, 2, 3, 4}));
 }

@@ -4,6 +4,9 @@
 
 #include "core/goldilocks.h"
 #include "core/virtual_cluster.h"
+#include "common/rng.h"
+#include "common/state_hash.h"
+#include "obs/metrics.h"
 #include "workload/scenarios.h"
 
 namespace gl {
@@ -189,6 +192,108 @@ TEST(VirtualCluster, GoldilocksEndToEndOnAsymmetricTopology) {
     const auto& cap = topo.server_capacity(ServerId{s});
     EXPECT_LE(loads[static_cast<std::size_t>(s)].cpu,
               cap.cpu * opts.pee_utilization * 1.02);
+  }
+}
+
+// --- subtree bound ------------------------------------------------------------
+//
+// Near-full heterogeneous fat trees: groups keep arriving after most
+// servers are at their ceilings, so most subtree probes fail and the O(1)
+// room bound in TryFill rejects many of them without a scan. The
+// placement, the stats and every reservation must equal what the scan
+// alone produced (digests pinned before the bound).
+
+struct NearFullRun {
+  std::uint64_t digest = 0;
+  int bound_rejections = 0;
+  std::uint64_t counter_delta = 0;
+};
+
+NearFullRun PlaceNearFull(int k, std::uint64_t seed) {
+  Rng rng(seed);
+  Topology topo = Topology::FatTree(k, kCap, 1000.0);
+  const double scales[] = {0.25, 0.5, 1.0, 1.5};
+  std::vector<double> ceiling_cpu;
+  for (int s = 0; s < topo.num_servers(); ++s) {
+    const Resource cap = kCap * scales[rng.NextBelow(4)];
+    topo.set_server_capacity(ServerId{s}, cap);
+    ceiling_cpu.push_back(cap.cpu * 0.70);
+  }
+  topo.DegradeUplink(topo.NodesAtLevel(2)[1], 0.5);
+
+  std::vector<Resource> demands;
+  std::vector<std::vector<ContainerId>> groups;
+  const auto add = [&](std::vector<ContainerId>& group, const Resource& d) {
+    group.push_back(ContainerId{static_cast<int>(demands.size())});
+    demands.push_back(d);
+  };
+  const auto random_demand = [&rng] {
+    return Resource{.cpu = rng.Uniform(50.0, 900.0),
+                    .mem_gb = rng.Uniform(0.5, 12.0),
+                    .net_mbps = rng.Uniform(5.0, 150.0)};
+  };
+  // First, one container per server of the first quarter at exactly the
+  // server's CPU ceiling or a hair over it (within WithinCap's ε): each
+  // fills its rack to the bound's edge, where the bound must still admit
+  // it (room + slack), or it lands a rack further right.
+  for (std::size_t s = 0; s < ceiling_cpu.size() / 4; ++s) {
+    Resource d = random_demand();
+    d.cpu = ceiling_cpu[s] * (rng.NextBelow(2) == 0 ? 1.0 : 1.0 + 5e-7);
+    add(groups.emplace_back(), d);
+  }
+  // Then random groups until demand passes the total CPU ceiling.
+  double cpu = 0.0;
+  double total_ceiling = 0.0;
+  for (const double c : ceiling_cpu) total_ceiling += c;
+  while (cpu < 1.05 * total_ceiling) {
+    auto& group = groups.emplace_back();
+    const auto size = 1 + rng.NextBelow(8);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      const Resource d = random_demand();
+      cpu += d.cpu;
+      add(group, d);
+    }
+  }
+
+  obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      "vc.subtree_bound_rejections", obs::MetricKind::kDeterministic);
+  const std::uint64_t before = counter.value();
+  VirtualClusterPlacer placer(topo, {});
+  const Placement p = placer.PlaceGroups(groups, demands, demands.size());
+
+  StateHasher h;
+  for (const auto s : p.server_of) h.MixId(s);
+  h.MixI32(placer.stats().groups_placed_whole);
+  h.MixI32(placer.stats().groups_split);
+  h.MixI32(placer.stats().bandwidth_violations);
+  for (int n = 0; n < topo.num_nodes(); ++n) {
+    h.MixDouble(placer.ReservationOn(NodeId{n}));
+  }
+  return {.digest = h.digest(),
+          .bound_rejections = placer.stats().subtree_bound_rejections,
+          .counter_delta = counter.value() - before};
+}
+
+TEST(VirtualCluster, SubtreeBoundRejectsProbesWithoutChangingPlacements) {
+  struct Case {
+    int k;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {4, 1, 0x6560f0ecd6455bd4ULL},
+      {4, 2, 0xbda0cf8dc5a03ee4ULL},
+      {8, 1, 0xc2458c7e011e7388ULL},
+      {8, 2, 0xbfb9cff269d1c796ULL},
+  };
+  for (const auto& c : cases) {
+    const NearFullRun run = PlaceNearFull(c.k, c.seed);
+    EXPECT_EQ(run.digest, c.digest)
+        << "k=" << c.k << " seed=" << c.seed << std::hex << " digest=0x"
+        << run.digest;
+    EXPECT_GT(run.bound_rejections, 0) << "k=" << c.k << " seed=" << c.seed;
+    EXPECT_EQ(run.counter_delta,
+              static_cast<std::uint64_t>(run.bound_rejections));
   }
 }
 

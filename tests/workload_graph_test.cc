@@ -254,6 +254,38 @@ TEST(WorkloadGraph, EffectiveDemandEqualsPerEdgeOracle) {
   }
 }
 
+// A kept grouping's drift check sums with fractions cached once per
+// grouping; over fresh demands each epoch it must equal EffectiveDemand.
+TEST(WorkloadGraph, CachedFractionsGiveEffectiveDemandBitForBit) {
+  for (std::uint64_t seed = 31; seed <= 34; ++seed) {
+    const Workload w = RandomWorkload(60, seed);
+    const WorkloadGraph wg(w);
+    Rng rng(seed);
+    std::vector<std::vector<ContainerId>> groups(1 + rng.NextBelow(6));
+    for (const auto& c : w.containers) {
+      groups[rng.NextBelow(groups.size())].push_back(c.id);
+    }
+    for (auto& group : groups) {
+      for (std::size_t i = group.size(); i > 1; --i) {
+        std::swap(group[i - 1], group[rng.NextBelow(i)]);
+      }
+    }
+    MembershipStamp stamp(w.containers.size());
+    std::vector<double> fraction;
+    wg.ExternalFractions(groups, stamp, fraction);
+    for (int round = 0; round < 10; ++round) {
+      const auto demands = RandomDemands(w.containers.size(), rng);
+      for (const auto& group : groups) {
+        const Resource got = ColocatedDemand(group, demands, fraction);
+        const Resource want = wg.EffectiveDemand(group, demands, stamp);
+        EXPECT_EQ(Bits(got.cpu), Bits(want.cpu));
+        EXPECT_EQ(Bits(got.mem_gb), Bits(want.mem_gb));
+        EXPECT_EQ(Bits(got.net_mbps), Bits(want.net_mbps));
+      }
+    }
+  }
+}
+
 TEST(WorkloadGraph, RebuiltOnlyForAnotherWorkload) {
   const Workload a = RandomWorkload(20, 3);
   Workload b = a;
