@@ -3,7 +3,7 @@
 // The paper reports METIS partitioning a 1M-vertex graph in 285 s and
 // argues that epoch lengths can therefore be short. These benchmarks track
 // our multilevel partitioner's cost across graph sizes, plus the unit
-// operations placement relies on (bisection, k-way, recursive-to-fit).
+// operations placement relies on (bisection, recursive-to-fit).
 //
 //   bench_partitioner_scale [--json out.json] [--trace=PATH]
 //                           [google-benchmark flags]
@@ -86,16 +86,6 @@ BENCHMARK(BM_RecursivePartitionToServers)
     ->Arg(10000)
     ->Arg(50000)
     ->Complexity();
-
-void BM_KWayPartition(benchmark::State& state) {
-  const Graph g = MakeWorkloadLikeGraph(5000, 3);
-  const int k = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto r = KWayPartition(g, k, {});
-    benchmark::DoNotOptimize(r.cut_weight);
-  }
-}
-BENCHMARK(BM_KWayPartition)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_CoarseningOnly(benchmark::State& state) {
   // Proxy for per-epoch incremental cost: one bisection on an already

@@ -248,7 +248,7 @@ void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
   // Cost controls engage only above the coarsening threshold: small graphs
   // are cheap enough to explore exhaustively, and their relative cut swings
   // are large enough that cutting exploration short costs real quality.
-  const bool big = n > 2 * opts.coarsen_target;
+  const bool big = n > 2 * kCoarsenTarget;
 
   for (int pass = 0; pass < max_passes; ++pass) {
     // Boundary seeding: when the balance is feasible, only candidates with
@@ -393,8 +393,7 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
                         std::vector<std::uint8_t>& side, double& cut,
                         double& w0, PartitionScratch& s) {
   const auto n = g.num_vertices();
-  if (n < static_cast<VertexIndex>(opts.parallel_min_vertices) ||
-      opts.fm_trials <= 1) {
+  if (n < kParallelMinVertices || opts.fm_trials <= 1) {
     FmRefine(g, bounds, opts, side, cut, w0, s);
     return;
   }
@@ -545,10 +544,7 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   // pool: the gate reads the problem size only, so gating changes nothing
   // but scheduling (DESIGN.md §9).
   const auto level_pool = [&](const CsrGraph& level) {
-    return level.num_vertices() >=
-                   static_cast<VertexIndex>(opts.parallel_min_vertices)
-               ? pool
-               : nullptr;
+    return level.num_vertices() >= kParallelMinVertices ? pool : nullptr;
   };
 
   // Coarsen until the target size or the matching stalls (e.g. star graphs):
@@ -559,7 +555,7 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   levels.clear();
   levels.push_back(&g);
   std::size_t li = 0;
-  while (levels.back()->num_vertices() > opts.coarsen_target) {
+  while (levels.back()->num_vertices() > kCoarsenTarget) {
     // One span per level, stall checks included; arg = level index.
     obs::TraceSpan coarsen_span("partition.coarsen",
                                 static_cast<std::int64_t>(li));
@@ -599,8 +595,7 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   // level below draws a salt FmRefineMultiTrial would use.
   const int max_trials = std::max(1, opts.initial_trials);
   const bool salts_unused =
-      levels.size() == 1 || opts.fm_trials <= 1 ||
-      n < static_cast<VertexIndex>(opts.parallel_min_vertices);
+      levels.size() == 1 || opts.fm_trials <= 1 || n < kParallelMinVertices;
   const bool may_stop =
       max_trials > 1 && salts_unused && !HasNegativeArc(coarsest);
   FmTrialOutcome best;
@@ -954,143 +949,7 @@ NodeRef FitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
   return self;
 }
 
-void InitRangeCtx(RangeCtx& ctx, const CsrGraph& csr,
-                  std::span<const Resource> demands,
-                  const PartitionOptions& opts) {
-  GOLDILOCKS_CHECK_EQ(demands.size(),
-                      static_cast<std::size_t>(csr.num_vertices()));
-  ctx.demands = demands;
-  ctx.csr = &csr;
-  ctx.opts = &opts;
-  const auto n = static_cast<std::size_t>(csr.num_vertices());
-  ctx.perm.resize(n);
-  std::iota(ctx.perm.begin(), ctx.perm.end(), 0);
-  ctx.where = std::vector<std::atomic<VertexIndex>>(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    ctx.where[v].store(static_cast<VertexIndex>(v),
-                       std::memory_order_relaxed);
-  }
-}
-
-void KWayRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi, int k,
-                 int first_group, std::size_t depth, std::uint64_t seed,
-                 PartitionScratch& s, KWayResult& out) {
-  if (k == 1 || hi - lo <= 1) {
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-      out.group_of[static_cast<std::size_t>(ctx.perm[pos])] = first_group;
-    }
-    return;
-  }
-  const int k0 = (k + 1) / 2;
-  std::size_t mid = lo;
-  std::uint64_t child_seeds[2];
-  out.cut_weight += SplitRange(
-      ctx, lo, hi, static_cast<double>(k0) / static_cast<double>(k), depth,
-      seed, s, child_seeds, &mid);
-  KWayRecurse(ctx, lo, mid, k0, first_group, depth + 1, child_seeds[0], s,
-              out);
-  KWayRecurse(ctx, mid, hi, k - k0, first_group + k0, depth + 1,
-              child_seeds[1], s, out);
-}
-
 }  // namespace
-
-KWayResult KWayPartition(const Graph& g, int k, const PartitionOptions& opts) {
-  GOLDILOCKS_CHECK_GE(k, 1);
-  KWayResult out;
-  out.num_groups = k;
-  out.group_of.assign(static_cast<std::size_t>(g.num_vertices()), 0);
-  CsrGraph csr;
-  csr.BuildFrom(g);
-  RangeCtx ctx;
-  InitRangeCtx(ctx, csr, g.demands(), opts);
-  PartitionScratch scratch;
-  KWayRecurse(ctx, 0, static_cast<std::size_t>(g.num_vertices()), k, 0,
-              /*depth=*/0, opts.seed, scratch, out);
-  if (opts.kway_refine_passes > 0 && k > 1) {
-    RefineKWay(g, out.group_of, k, opts);
-    out.cut_weight = g.CutWeightKWay(out.group_of);
-  }
-  return out;
-}
-
-double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
-                  const PartitionOptions& opts) {
-  GOLDILOCKS_CHECK(group_of.size() ==
-                   static_cast<std::size_t>(g.num_vertices()));
-  if (k <= 1 || g.num_vertices() == 0) return 0.0;
-
-  CsrGraph csr;
-  csr.BuildFrom(g);
-
-  // Balance bookkeeping: each group may carry up to (1 + tol) of its
-  // proportional share, and no move may empty a group.
-  std::vector<double> weight(static_cast<std::size_t>(k), 0.0);
-  std::vector<int> count(static_cast<std::size_t>(k), 0);
-  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-    const int gid = group_of[static_cast<std::size_t>(v)];
-    GOLDILOCKS_CHECK(gid >= 0 && gid < k);
-    weight[static_cast<std::size_t>(gid)] += csr.balance_weight(v);
-    ++count[static_cast<std::size_t>(gid)];
-  }
-  double max_bw = 0.0;
-  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-    max_bw = std::max(max_bw, csr.balance_weight(v));
-  }
-  // One-vertex slack on top of the tolerance: without it, greedy single
-  // moves can never perform the two-step swaps FM achieves via rollback.
-  const double cap = csr.total_balance_weight() / k *
-                         (1.0 + opts.balance_tolerance) +
-                     max_bw;
-
-  Rng rng(opts.seed ^ 0x4b57);
-  std::vector<VertexIndex> order(static_cast<std::size_t>(g.num_vertices()));
-  std::iota(order.begin(), order.end(), 0);
-
-  double improvement = 0.0;
-  // Attachment of v to each adjacent group: flat timestamped accumulation,
-  // visited in first-touch order — no clearing loop, no sort.
-  GroupAccumulator attach;
-  for (int pass = 0; pass < opts.kway_refine_passes; ++pass) {
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.NextBelow(i)]);
-    }
-    bool moved_any = false;
-    for (const auto v : order) {
-      const int own = group_of[static_cast<std::size_t>(v)];
-      if (count[static_cast<std::size_t>(own)] <= 1) continue;
-      attach.Reset(static_cast<std::size_t>(k));
-      const auto [to, ws] = csr.arc_range(v);
-      for (std::size_t i = 0; i < to.size(); ++i) {
-        attach.Add(group_of[static_cast<std::size_t>(to[i])], ws[i]);
-      }
-      const double own_w = attach.Get(own);
-      int best = -1;
-      double best_gain = 1e-9;
-      for (const int ng : attach.touched()) {
-        if (ng == own) continue;
-        const double gain = attach.Get(ng) - own_w;
-        if (gain > best_gain &&
-            weight[static_cast<std::size_t>(ng)] + csr.balance_weight(v) <=
-                cap) {
-          best = ng;
-          best_gain = gain;
-        }
-      }
-      if (best >= 0) {
-        group_of[static_cast<std::size_t>(v)] = best;
-        weight[static_cast<std::size_t>(own)] -= csr.balance_weight(v);
-        weight[static_cast<std::size_t>(best)] += csr.balance_weight(v);
-        --count[static_cast<std::size_t>(own)];
-        ++count[static_cast<std::size_t>(best)];
-        improvement += best_gain;
-        moved_any = true;
-      }
-    }
-    if (!moved_any) break;
-  }
-  return improvement;
-}
 
 RecursivePartitionResult RecursivePartition(const CsrGraph& g,
                                             std::span<const Resource> demands,
@@ -1104,10 +963,19 @@ RecursivePartitionResult RecursivePartition(const CsrGraph& g,
   out.group_of.assign(n, -1);
   if (n == 0) return out;
 
+  GOLDILOCKS_CHECK_EQ(demands.size(), n);
   RangeCtx ctx;
-  InitRangeCtx(ctx, g, demands, opts);
+  ctx.demands = demands;
+  ctx.csr = &g;
+  ctx.opts = &opts;
   ctx.fits = &fits;
   ctx.units = &units;
+  ctx.perm.resize(n);
+  std::iota(ctx.perm.begin(), ctx.perm.end(), 0);
+  ctx.where = std::vector<std::atomic<VertexIndex>>(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    ctx.where[v].store(static_cast<VertexIndex>(v), std::memory_order_relaxed);
+  }
 
   std::optional<ThreadPool> pool;
   if (opts.threads > 1) ctx.pool = &pool.emplace(opts.threads);

@@ -5,12 +5,9 @@
 // growing initial partition → Fiduccia–Mattheyses refinement during
 // uncoarsening) with a balance constraint on scalar vertex weights.
 //
-// Three entry points:
+// Two entry points:
 //   * Bisect            — one balanced 2-way split (the paper's building
 //                         block, Fig. 6).
-//   * KWayPartition     — k balanced groups via recursive bisection with
-//                         proportional targets (used for fault domains and
-//                         the Fig. 7 visualisations).
 //   * RecursivePartition— the paper's Sec. III-B loop: keep bisecting until
 //                         every group's aggregate Resource demand satisfies a
 //                         caller-provided fit predicate (e.g. "fits in one
@@ -33,12 +30,18 @@
 
 namespace gl {
 
+// Coarsening stops when the graph has at most this many vertices.
+inline constexpr VertexIndex kCoarsenTarget = 96;
+// Below this vertex count a level is refined single-stream and coarsened
+// without the pool: tiny levels are cheaper serial than synchronized.
+// Part of the deterministic contract (the gate reads the problem size,
+// never the thread count), so changing it changes partitions.
+inline constexpr VertexIndex kParallelMinVertices = 4096;
+
 struct PartitionOptions {
   // Allowed imbalance: a side may carry up to (1 + balance_tolerance) times
   // its proportional share of the total balance weight (METIS' ubfactor).
   double balance_tolerance = 0.10;
-  // Coarsening stops when the graph has at most this many vertices.
-  int coarsen_target = 96;
   // Upper bound on the greedy-graph-growing attempts on the coarsest graph.
   // The attempts stop early once no later one could replace the best (a
   // feasible zero cut; DESIGN.md §11 lists the conditions), which never
@@ -48,21 +51,13 @@ struct PartitionOptions {
   int refine_passes = 8;
   // Consecutive non-improving FM moves tolerated before ending a pass.
   int fm_stall_limit = 256;
-  // Direct k-way refinement passes run after recursive bisection in
-  // KWayPartition (0 = off).
-  int kway_refine_passes = 2;
   // Independent FM trials per uncoarsening level on graphs of at least
-  // parallel_min_vertices vertices (1 = classic single-stream FM). The
+  // kParallelMinVertices vertices (1 = classic single-stream FM). The
   // trials split the refine_passes budget, run from keyed per-trial
   // sub-streams, and fold to one canonical winner (graph/refine.h), so the
   // result is a pure function of the options — identical whether the trials
   // ran concurrently or back-to-back.
   int fm_trials = 4;
-  // Below this vertex count a level is refined single-stream and coarsened
-  // without the pool: tiny levels are cheaper serial than synchronized.
-  // Part of the deterministic contract (the gate reads the problem size,
-  // never the thread count), so changing it changes partitions.
-  int parallel_min_vertices = 4096;
   std::uint64_t seed = 0x5eed;
   // Threads for RecursivePartition (1 = serial): each split's bisection and
   // its two child subtrees run on one nested pool of this width. Results
@@ -80,30 +75,12 @@ struct Bisection {
 
 // Balanced 2-way partition. `target_fraction` is the share of the total
 // balance weight that side 0 should receive (0.5 for an even split; other
-// values drive non-power-of-two k-way splits).
+// values carve whole server-units off a group, see CapacityUnitsFn).
 Bisection Bisect(const CsrGraph& g, const PartitionOptions& opts,
                  double target_fraction = 0.5);
 // Adapter: the same bisection of g's CSR snapshot (CsrGraph::BuildFrom).
 Bisection Bisect(const Graph& g, const PartitionOptions& opts,
                  double target_fraction = 0.5);
-
-struct KWayResult {
-  std::vector<int> group_of;  // per-vertex group id in [0, k)
-  int num_groups = 0;
-  double cut_weight = 0.0;  // total weight of inter-group edges
-};
-
-// Exactly k groups with proportional balance. Recursive bisection plus,
-// when `opts.kway_refine_passes > 0`, a direct k-way boundary refinement
-// (greedy best-gain moves across any group pair — the kMETIS idea) that
-// repairs the cuts recursive bisection cannot see across its sub-problems.
-KWayResult KWayPartition(const Graph& g, int k, const PartitionOptions& opts);
-
-// Direct k-way refinement: improves `group_of` in place by moving boundary
-// vertices to the neighbouring group with the highest positive cut gain,
-// subject to the balance tolerance. Returns the cut improvement (≥ 0).
-double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
-                  const PartitionOptions& opts);
 
 // Predicate deciding whether a container group with the given aggregate
 // demand and cardinality can stop splitting (equation (2) of the paper).

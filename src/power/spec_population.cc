@@ -1,5 +1,8 @@
 #include "power/spec_population.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/check.h"
 
 namespace gl {
@@ -20,10 +23,15 @@ const std::vector<PeeYearDistribution>& SpecPeeDistributions() {
 
 std::array<double, 5> PeeSharesForYear(int year) {
   const auto& dists = SpecPeeDistributions();
-  for (const auto& d : dists) {
-    if (d.year == year) return d.share;
-  }
-  GOLDILOCKS_CHECK_MSG(false, "no SPEC distribution for requested year");
+  const auto it =
+      std::find_if(dists.begin(), dists.end(), [year](const auto& d) {
+        return d.year == year;
+      });
+  // Compared as a count, not as iterators, so the GL014 units gate over
+  // src/power resolves both operands.
+  GOLDILOCKS_CHECK_MSG(std::distance(it, dists.end()) > 0,
+                       "no SPEC distribution for requested year");
+  return it->share;
 }
 
 std::vector<SpecServer> SampleSpecPopulation(int n, Rng& rng) {

@@ -1,5 +1,7 @@
 #include "workload/container.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace gl {
@@ -67,10 +69,12 @@ const std::vector<AppProfile>& AllAppProfiles() {
 }
 
 const AppProfile& GetAppProfile(AppType t) {
-  for (const auto& p : AllAppProfiles()) {
-    if (p.type == t) return p;
-  }
-  GOLDILOCKS_CHECK_MSG(false, "unknown app type");
+  const auto& profiles = AllAppProfiles();
+  const auto it =
+      std::find_if(profiles.begin(), profiles.end(),
+                   [t](const AppProfile& p) { return p.type == t; });
+  GOLDILOCKS_CHECK_MSG(it != profiles.end(), "unknown app type");
+  return *it;
 }
 
 Resource Workload::TotalDemand() const {

@@ -194,7 +194,7 @@ TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
   }
 }
 
-// Intra-bisection check above the multi-trial gate (parallel_min_vertices):
+// Intra-bisection check above the multi-trial gate (kParallelMinVertices):
 // one Bisect call large enough that the parallel coarsening chunks, the
 // pooled FM trials and the projection recomputation all engage. The side
 // vector and the float cut must be bit-identical at every width — and under
@@ -203,7 +203,7 @@ TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
 TEST(ParallelDeterminism, LargeBisectionIsExactlyThreadCountInvariant) {
   Rng rng(21);
   Graph g;
-  constexpr int kVertices = 6000;  // > PartitionOptions::parallel_min_vertices
+  constexpr int kVertices = 6000;  // > kParallelMinVertices
   for (int i = 0; i < kVertices; ++i) {
     g.AddVertex(Resource{.cpu = rng.Uniform(20, 60), .mem_gb = 4,
                          .net_mbps = rng.Uniform(5, 50)},
@@ -219,7 +219,7 @@ TEST(ParallelDeterminism, LargeBisectionIsExactlyThreadCountInvariant) {
   }
 
   PartitionOptions serial_opts;
-  ASSERT_LT(serial_opts.parallel_min_vertices, kVertices);
+  static_assert(kParallelMinVertices < kVertices);
   ASSERT_GE(serial_opts.fm_trials, 2);
   const Bisection serial = Bisect(g, serial_opts);
   EXPECT_GT(serial.cut_weight, 0.0);

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 
 #include "common/rng.h"
 #include "graph/partitioner.h"
 #include "graph/refine.h"
 #include "obs/metrics.h"
+#include "workload/msr_trace.h"
 
 namespace gl {
 namespace {
@@ -180,111 +180,65 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(50, 200, 1000),
                        ::testing::Values(0.05, 0.10, 0.20)));
 
-// --- KWayPartition ---------------------------------------------------------------
+// --- Capacity-unit sizing ----------------------------------------------------
+
+// The Fig. 7(b) snapshot: the first 100 vertices of the seeded MSR search
+// trace, each one unit of CPU demand with balance weight 1.
+Graph MsrUnitSnapshot() {
+  constexpr int kSnapshot = 100;
+  Rng rng(19);
+  MsrTraceOptions opts;
+  opts.num_vertices = 1000;
+  const auto trace = GenerateMsrSearchTrace(opts, rng);
+  Graph g;
+  for (int v = 0; v < kSnapshot; ++v) g.AddVertex(Resource{.cpu = 1}, 1.0);
+  for (const auto& e : trace.workload.edges) {
+    if (e.a.value() < kSnapshot && e.b.value() < kSnapshot) {
+      g.AddEdge(e.a.value(), e.b.value(), e.flows);
+    }
+  }
+  return g;
+}
+
+// Carves the snapshot into k groups through capacity units: unit demands,
+// zero tolerance and a capacity of ceil(100/k).
+RecursivePartitionResult CarveIntoK(const Graph& g, int k) {
+  PartitionOptions opts;
+  opts.balance_tolerance = 0.0;
+  const int cap = (g.num_vertices() + k - 1) / k;
+  return RecursivePartition(
+      g, [&](const Resource& d, int) { return d.cpu <= cap; }, opts,
+      [&](const Resource& d) { return d.cpu / cap; });
+}
 
 TEST(KWay, ProducesExactlyKGroups) {
-  const Graph g = RandomGraph(120, 5.0, 11);
-  for (const int k : {2, 3, 5, 8}) {
-    const auto r = KWayPartition(g, k, {});
-    std::set<int> groups(r.group_of.begin(), r.group_of.end());
-    EXPECT_EQ(static_cast<int>(groups.size()), k) << "k=" << k;
-    for (const int gi : r.group_of) {
-      EXPECT_GE(gi, 0);
-      EXPECT_LT(gi, k);
-    }
+  const Graph g = MsrUnitSnapshot();
+  for (int k = 2; k <= 8; ++k) {
+    SCOPED_TRACE(k);
+    const auto r = CarveIntoK(g, k);
+    EXPECT_EQ(r.num_groups, k);
+    EXPECT_TRUE(r.oversized_groups.empty());
+  }
+}
+
+TEST(KWay, BalancedAcrossGroups) {
+  const Graph g = MsrUnitSnapshot();
+  for (int k = 2; k <= 8; ++k) {
+    SCOPED_TRACE(k);
+    const int cap = (g.num_vertices() + k - 1) / k;
+    const auto r = CarveIntoK(g, k);
+    for (const int size : r.group_size) EXPECT_LE(size, cap);
   }
 }
 
 TEST(KWay, CutMatchesAssignment) {
-  const Graph g = RandomGraph(150, 6.0, 13);
-  const auto r = KWayPartition(g, 4, {});
-  EXPECT_NEAR(g.CutWeightKWay(r.group_of), r.cut_weight, 1e-9);
-}
-
-TEST(KWay, KEqualsOneIsWholeGraph) {
-  const Graph g = Ring(10);
-  const auto r = KWayPartition(g, 1, {});
-  for (const int gi : r.group_of) EXPECT_EQ(gi, 0);
-  EXPECT_DOUBLE_EQ(r.cut_weight, 0.0);
-}
-
-TEST(KWay, BalancedAcrossGroups) {
-  const Graph g = RandomGraph(400, 5.0, 17);
-  const int k = 5;
-  const auto r = KWayPartition(g, k, {});
-  std::vector<double> weight(static_cast<std::size_t>(k), 0.0);
-  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-    weight[static_cast<std::size_t>(
-        r.group_of[static_cast<std::size_t>(v)])] += g.balance_weight(v);
+  // The summed split cuts equal the cut of the final labelling.
+  const Graph g = MsrUnitSnapshot();
+  for (int k = 2; k <= 8; ++k) {
+    SCOPED_TRACE(k);
+    const auto r = CarveIntoK(g, k);
+    EXPECT_DOUBLE_EQ(r.cut_weight, g.CutWeightKWay(r.group_of));
   }
-  const double target = g.total_balance_weight() / k;
-  for (const double w : weight) {
-    EXPECT_LT(w, target * 1.6);
-    EXPECT_GT(w, target * 0.4);
-  }
-}
-
-TEST(KWayRefine, ImprovesASwappedAssignment) {
-  // Two cliques assigned correctly except two swapped vertices: refinement
-  // must send them home and report the gain.
-  const Graph g = TwoCliques(8);
-  std::vector<int> group(16);
-  for (int v = 0; v < 16; ++v) group[static_cast<std::size_t>(v)] = v / 8;
-  std::swap(group[1], group[9]);
-  const double before = g.CutWeightKWay(group);
-  const double gain = RefineKWay(g, group, 2, {});
-  const double after = g.CutWeightKWay(group);
-  EXPECT_GT(gain, 0.0);
-  EXPECT_LT(after, before);
-  EXPECT_EQ(group[1], group[0]);
-  EXPECT_EQ(group[9], group[8]);
-}
-
-TEST(KWayRefine, RespectsBalanceCap) {
-  // A star: every leaf wants to join the hub's group, but balance forbids
-  // collapsing everything into one side.
-  Graph g;
-  for (int i = 0; i < 16; ++i) {
-    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
-  }
-  for (int i = 1; i < 16; ++i) g.AddEdge(0, i, 5.0);
-  std::vector<int> group(16);
-  for (int v = 0; v < 16; ++v) group[static_cast<std::size_t>(v)] = v % 2;
-  PartitionOptions opts;
-  opts.balance_tolerance = 0.10;
-  RefineKWay(g, group, 2, opts);
-  int side0 = 0;
-  for (const int gi : group) side0 += gi == 0;
-  EXPECT_GE(side0, 7);
-  EXPECT_LE(side0, 9);
-}
-
-TEST(KWayRefine, NoopOnOptimal) {
-  const Graph g = TwoCliques(8);
-  std::vector<int> group(16);
-  for (int v = 0; v < 16; ++v) group[static_cast<std::size_t>(v)] = v / 8;
-  EXPECT_DOUBLE_EQ(RefineKWay(g, group, 2, {}), 0.0);
-}
-
-TEST(KWayRefine, NeverEmptiesAGroup) {
-  const Graph g = Ring(12);
-  std::vector<int> group(12, 0);
-  group[5] = 1;  // a lone vertex that refinement would love to absorb
-  RefineKWay(g, group, 2, {});
-  int side1 = 0;
-  for (const int gi : group) side1 += gi == 1;
-  EXPECT_GE(side1, 1);
-}
-
-TEST(KWayRefine, KWayPartitionUsesIt) {
-  // With refinement on, the k-way cut must be no worse than without.
-  const Graph g = RandomGraph(300, 6.0, 77);
-  PartitionOptions with;
-  PartitionOptions without;
-  without.kway_refine_passes = 0;
-  const auto a = KWayPartition(g, 6, with);
-  const auto b = KWayPartition(g, 6, without);
-  EXPECT_LE(a.cut_weight, b.cut_weight + 1e-9);
 }
 
 // --- RecursivePartition -----------------------------------------------------------
@@ -476,7 +430,7 @@ TEST(BisectTest, MultiTrialRefinementNeverLosesToSingleTrial) {
   // for a feasible result.
   Rng rng(123);
   Graph g;
-  constexpr int kN = 6000;  // above parallel_min_vertices: trials engage
+  constexpr int kN = 6000;  // above kParallelMinVertices: trials engage
   for (int i = 0; i < kN; ++i) {
     g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
@@ -564,7 +518,7 @@ TEST(UnbeatableTrialStop, SaltReadingLevelsRunEveryTrial) {
   // stay off even though a zero cut exists. The cliques are big enough to
   // keep arcs on the coarsest level, so the trials show in the counter.
   const Graph g = DisjointCliques(32, 128);
-  ASSERT_GE(g.num_vertices(), PartitionOptions{}.parallel_min_vertices);
+  ASSERT_GE(g.num_vertices(), kParallelMinVertices);
   ASSERT_GT(PartitionOptions{}.fm_trials, 1);
   const auto one = BisectCounted(g, 1);
   const auto eight = BisectCounted(g, 8);

@@ -142,6 +142,11 @@ TEST(SpecPopulation, DriftTowardLowerPee) {
   EXPECT_GT(y2018[2] + y2018[3] + y2018[4], 0.8);
 }
 
+TEST(SpecPopulationDeathTest, UnknownYearFailsCheck) {
+  EXPECT_DEATH(static_cast<void>(PeeSharesForYear(2009)),
+               "no SPEC distribution for requested year");
+}
+
 TEST(SpecPopulation, SampleMatchesDistribution) {
   Rng rng(99);
   const auto fleet = SampleSpecPopulation(419, rng);

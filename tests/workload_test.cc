@@ -42,6 +42,11 @@ TEST(AppProfiles, TableTwoValues) {
   EXPECT_DOUBLE_EQ(nginx.flow_count, 25.0);
 }
 
+TEST(AppProfilesDeathTest, UnknownTypeFailsCheck) {
+  EXPECT_DEATH(static_cast<void>(GetAppProfile(static_cast<AppType>(999))),
+               "unknown app type");
+}
+
 TEST(AppProfiles, AllHaveNamesAndPositiveDemands) {
   for (const auto& p : AllAppProfiles()) {
     EXPECT_FALSE(p.name.empty());

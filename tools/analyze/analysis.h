@@ -11,7 +11,7 @@
 //                                rest per-file PatternHit facts
 //   GL010 alloc-in-hot-path      allocation sites in any function reachable
 //                                from a hot root (default: Bisect,
-//                                KWayPartition, every FmEngine method)
+//                                FitRecurse, every FmEngine method)
 //   GL011 unguarded-shared-member  mutable members of mutex-owning classes
 //                                lacking GL_GUARDED_BY (facts-level,
 //                                surfaced here)
@@ -66,7 +66,7 @@ struct Finding {
 struct AnalysisOptions {
   // Hot-path roots for GL010. A plain name matches every function with that
   // bare name; a "Class::" spec matches every method of that class.
-  std::vector<std::string> hot_roots = {"Bisect", "KWayPartition",
+  std::vector<std::string> hot_roots = {"Bisect", "FitRecurse",
                                         "FmEngine::"};
 };
 

@@ -13,7 +13,7 @@
 //   --sarif=FILE           write non-baselined findings as SARIF 2.1.0
 //   --cache=FILE           mtime+hash incremental facts cache
 //   --hot-root=SPEC        GL010 root (repeatable; replaces the defaults
-//                          Bisect, KWayPartition, FmEngine::). A plain name
+//                          Bisect, FitRecurse, FmEngine::). A plain name
 //                          matches that function anywhere; "Class::" matches
 //                          every method of Class.
 //   --jobs=N               extract facts for cache-missing files on N
